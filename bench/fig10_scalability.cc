@@ -10,30 +10,16 @@
  * measured with thread-confined timers; with MANTA_JOBS > 1 the
  * points share cores, so for publication-quality timing curves run
  * with MANTA_JOBS=1 (counts and the fitted shape are unaffected).
- *
- * `--modular` switches to the scale-up ladder (frontend/corpus.h's
- * scaleCorpus): each xl/xxl profile is analyzed under both schedule
- * modes (modular bottom-up vs whole-program), bounds are verified
- * bit-identical, and the insts-vs-seconds curve plus speedups land in
- * BENCH_modular.json. A coreutils-style batch of many small binaries
- * rides along as a throughput row.
- *
- * Flags (modular mode):
- *   --quick       Cap the ladder at the 100k point, small batch.
- *   --batch <n>   Batch size (default 10000; 200 with --quick).
- *   --out <path>  JSON output path (default BENCH_modular.json).
+ * End-to-end scale (the xl100k module, the 118-binary corpus) is
+ * measured by perfbench/ instead.
  */
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/acyclic.h"
 #include "core/pipeline.h"
 #include "eval/parallel.h"
-#include "frontend/corpus.h"
 #include "frontend/generator.h"
 #include "support/csv.h"
 #include "support/table.h"
@@ -203,332 +189,11 @@ runFig10()
     return 0;
 }
 
-// -- modular scale-up ladder (BENCH_modular.json) ----------------------
-
-struct LadderRow
-{
-    std::string name;
-    int functions = 0;
-    std::size_t insts = 0;
-    double genSeconds = 0.0;       ///< Generation + acyclic + substrates.
-    double modularSeconds = 0.0;   ///< infer() wall clock, modular.
-    double wpSeconds = 0.0;        ///< infer() wall clock, whole-program.
-    double scheduleSeconds = 0.0;  ///< Callgraph + SCC condensation.
-    std::size_t sccCount = 0;
-    std::size_t sccWaves = 0;
-    std::size_t summaryRoots = 0;
-    std::size_t summaryTypes = 0;
-    std::size_t summaryHits = 0;
-    std::size_t walkSteps = 0; ///< CS+FS frames expanded (modular run).
-    double peakRssMib = 0.0;   ///< Process high-water mark after this rung.
-    bool identical = false;
-
-    double
-    speedup() const
-    {
-        return modularSeconds > 0.0 ? wpSeconds / modularSeconds : 0.0;
-    }
-
-    /// Walk workload per instruction; flat across a ladder mix means
-    /// the algorithm scales linearly and any residual per-inst cost
-    /// growth is memory-hierarchy (per-step) drift.
-    double
-    stepsPerInst() const
-    {
-        return insts > 0 ? static_cast<double>(walkSteps) /
-                               static_cast<double>(insts)
-                         : 0.0;
-    }
-
-    double
-    nsPerStep() const
-    {
-        return walkSteps > 0 ? modularSeconds * 1e9 /
-                                   static_cast<double>(walkSteps)
-                             : 0.0;
-    }
-};
-
-/** Bit-identity of the refined bounds (TypeRef ids) across modes. */
-bool
-sameBounds(const InferenceResult &a, const InferenceResult &b)
-{
-    if (a.overlay().size() != b.overlay().size() ||
-        a.siteOverlay().size() != b.siteOverlay().size()) {
-        return false;
-    }
-    for (const auto &[v, bp] : a.overlay()) {
-        const auto it = b.overlay().find(v);
-        if (it == b.overlay().end() || it->second.upper != bp.upper ||
-            it->second.lower != bp.lower) {
-            return false;
-        }
-    }
-    for (const auto &[sv, bp] : a.siteOverlay()) {
-        const auto it = b.siteOverlay().find(sv);
-        if (it == b.siteOverlay().end() || it->second.upper != bp.upper ||
-            it->second.lower != bp.lower) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/** Analyze one ladder profile under both schedule modes. */
-LadderRow
-runLadderPoint(const ProjectProfile &profile)
-{
-    LadderRow row;
-    row.name = profile.name;
-    row.functions = profile.config.numFunctions;
-
-    Timer gen_timer;
-    GeneratedProgram prog = buildProject(profile);
-    makeAcyclic(*prog.module);
-    MantaAnalyzer an(*prog.module);
-    row.genSeconds = gen_timer.seconds();
-    row.insts = prog.module->numInsts();
-
-    HybridConfig modular_cfg = HybridConfig::full();
-    modular_cfg.scheduleMode = ScheduleMode::ModularBottomUp;
-    HybridConfig wp_cfg = HybridConfig::full();
-    wp_cfg.scheduleMode = ScheduleMode::WholeProgram;
-
-    const InferenceResult modular = an.infer(modular_cfg);
-    const InferenceProfile &mp = modular.profile();
-    row.modularSeconds = mp.seconds;
-    row.scheduleSeconds = mp.summarySeconds;
-    row.sccCount = mp.sccCount;
-    row.sccWaves = mp.sccWaves;
-    row.summaryRoots = mp.summaryRoots;
-    row.summaryTypes = mp.summaryTypes;
-    row.summaryHits = mp.csWalk.summaryHits + mp.fsWalk.summaryHits;
-    row.walkSteps = mp.csWalk.steps + mp.fsWalk.steps;
-
-    const InferenceResult wp = an.infer(wp_cfg);
-    row.wpSeconds = wp.profile().seconds;
-    row.identical = sameBounds(modular, wp);
-    row.peakRssMib = peakRssMiB();
-    return row;
-}
-
-/** Coreutils-style batch: many small binaries, aggregate throughput. */
-LadderRow
-runBatchPoint(int batch_size)
-{
-    LadderRow row;
-    row.name = "coreutils-batch-" + std::to_string(batch_size);
-    row.identical = true;
-    HybridConfig modular_cfg = HybridConfig::full();
-    modular_cfg.scheduleMode = ScheduleMode::ModularBottomUp;
-    HybridConfig wp_cfg = HybridConfig::full();
-    wp_cfg.scheduleMode = ScheduleMode::WholeProgram;
-    for (const ProjectProfile &profile : coreutilsBatch(batch_size)) {
-        Timer gen_timer;
-        GeneratedProgram prog = buildProject(profile);
-        makeAcyclic(*prog.module);
-        row.genSeconds += gen_timer.seconds();
-        row.insts += prog.module->numInsts();
-        row.functions += profile.config.numFunctions;
-
-        MantaAnalyzer an(*prog.module);
-        const InferenceResult modular = an.infer(modular_cfg);
-        const InferenceProfile &mp = modular.profile();
-        row.modularSeconds += mp.seconds;
-        row.scheduleSeconds += mp.summarySeconds;
-        row.sccCount += mp.sccCount;
-        row.sccWaves += mp.sccWaves;
-        row.summaryRoots += mp.summaryRoots;
-        row.summaryTypes += mp.summaryTypes;
-        row.summaryHits += mp.csWalk.summaryHits + mp.fsWalk.summaryHits;
-        row.walkSteps += mp.csWalk.steps + mp.fsWalk.steps;
-
-        const InferenceResult wp = an.infer(wp_cfg);
-        row.wpSeconds += wp.profile().seconds;
-        row.identical = row.identical && sameBounds(modular, wp);
-    }
-    row.peakRssMib = peakRssMiB();
-    return row;
-}
-
-void
-writeModularJson(const std::string &path,
-                 const std::vector<LadderRow> &rows,
-                 const LadderRow *batch)
-{
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
-    auto writeRow = [&](const LadderRow &r, const char *trailer) {
-        std::fprintf(out,
-                     "    {\"name\": \"%s\", \"functions\": %d, "
-                     "\"insts\": %zu, \"genSeconds\": %.6f, "
-                     "\"modularSeconds\": %.6f, \"wpSeconds\": %.6f, "
-                     "\"speedup\": %.2f, \"scheduleSeconds\": %.6f, "
-                     "\"sccs\": %zu, \"waves\": %zu, "
-                     "\"summaryRoots\": %zu, \"summaryTypes\": %zu, "
-                     "\"summaryHits\": %zu, \"walkSteps\": %zu, "
-                     "\"stepsPerInst\": %.1f, \"nsPerStep\": %.1f, "
-                     "\"peakRssMib\": %.1f, "
-                     "\"identical\": %s}%s\n",
-                     r.name.c_str(), r.functions, r.insts, r.genSeconds,
-                     r.modularSeconds, r.wpSeconds, r.speedup(),
-                     r.scheduleSeconds, r.sccCount, r.sccWaves,
-                     r.summaryRoots, r.summaryTypes, r.summaryHits,
-                     r.walkSteps, r.stepsPerInst(), r.nsPerStep(),
-                     r.peakRssMib, r.identical ? "true" : "false", trailer);
-    };
-    std::fprintf(out, "{\n  \"benchmark\": \"modular\",\n");
-    std::fprintf(out, "  \"ladder\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        writeRow(rows[i], i + 1 < rows.size() ? "," : "");
-    std::fprintf(out, "  ],\n");
-    if (batch != nullptr) {
-        std::fprintf(out, "  \"batch\":\n");
-        writeRow(*batch, ",");
-    }
-    const LadderRow &first = rows.front();
-    const LadderRow &last = rows.back();
-    const double cost_first =
-        first.modularSeconds / static_cast<double>(first.insts);
-    const double cost_last =
-        last.modularSeconds / static_cast<double>(last.insts);
-    std::fprintf(out, "  \"largestProfile\": \"%s\",\n",
-                 last.name.c_str());
-    std::fprintf(out, "  \"largestSpeedup\": %.2f,\n", last.speedup());
-    std::fprintf(out, "  \"perInstCostRatio\": %.2f,\n",
-                 cost_first > 0.0 ? cost_last / cost_first : 0.0);
-    // Decomposition of the per-inst cost curve: the workload term
-    // (steps per instruction) is what the scheduler controls — a flat
-    // ratio means no superlinear blowup — while the per-step term is
-    // cache-residency drift as the module outgrows the LLC.
-    std::fprintf(out, "  \"stepsPerInstRatio\": %.2f,\n",
-                 first.stepsPerInst() > 0.0
-                     ? last.stepsPerInst() / first.stepsPerInst()
-                     : 0.0);
-    std::fprintf(out, "  \"nsPerStepRatio\": %.2f\n}\n",
-                 first.nsPerStep() > 0.0
-                     ? last.nsPerStep() / first.nsPerStep()
-                     : 0.0);
-    std::fclose(out);
-    std::printf("\nwrote %s\n", path.c_str());
-}
-
-int
-runModularLadder(bool quick, int batch_size, const std::string &out_path)
-{
-    std::printf("=== Figure 10 (scale-up): modular vs whole-program ===\n\n");
-    std::printf("(jobs: %zu)\n\n", ParallelHarness().jobs());
-
-    // --quick keeps the 100k point only: it exercises the exact same
-    // code path as the full ladder at a CI-friendly size.
-    const std::size_t cap = quick ? 120000 : 0;
-    std::vector<LadderRow> rows;
-    for (const ProjectProfile &profile : scaleCorpus(cap)) {
-        LadderRow row = runLadderPoint(profile);
-        std::printf("  %-18s %6d funcs %8zu insts  modular %.3fs  "
-                    "wp %.3fs  %.2fx%s\n",
-                    row.name.c_str(), row.functions, row.insts,
-                    row.modularSeconds, row.wpSeconds, row.speedup(),
-                    row.identical ? "" : "  BOUNDS DIFFER");
-        std::fflush(stdout);
-        rows.push_back(std::move(row));
-    }
-    if (rows.empty()) {
-        std::fprintf(stderr, "no ladder profiles under the size cap\n");
-        return 1;
-    }
-
-    LadderRow batch = runBatchPoint(batch_size);
-    std::printf("  %-18s %6d funcs %8zu insts  modular %.3fs  "
-                "wp %.3fs  %.2fx%s\n",
-                batch.name.c_str(), batch.functions, batch.insts,
-                batch.modularSeconds, batch.wpSeconds, batch.speedup(),
-                batch.identical ? "" : "  BOUNDS DIFFER");
-
-    AsciiTable table;
-    table.setHeader({"profile", "#funcs", "#insts", "gen (s)",
-                     "modular (s)", "WP (s)", "speedup", "SCCs", "waves",
-                     "sched (s)", "summary hits", "steps/inst", "ns/step",
-                     "peak RSS (MiB)", "identical"});
-    bool all_identical = true;
-    for (const LadderRow *r_ptr : [&] {
-             std::vector<const LadderRow *> all;
-             for (const LadderRow &r : rows)
-                 all.push_back(&r);
-             all.push_back(&batch);
-             return all;
-         }()) {
-        const LadderRow &r = *r_ptr;
-        all_identical &= r.identical;
-        table.addRow({r.name, std::to_string(r.functions),
-                      std::to_string(r.insts), fmtDouble(r.genSeconds, 3),
-                      fmtDouble(r.modularSeconds, 3),
-                      fmtDouble(r.wpSeconds, 3),
-                      fmtDouble(r.speedup(), 2) + "x",
-                      std::to_string(r.sccCount),
-                      std::to_string(r.sccWaves),
-                      fmtDouble(r.scheduleSeconds, 4),
-                      std::to_string(r.summaryHits),
-                      fmtDouble(r.stepsPerInst(), 1),
-                      fmtDouble(r.nsPerStep(), 1),
-                      fmtDouble(r.peakRssMib, 1),
-                      r.identical ? "yes" : "NO"});
-    }
-    std::printf("\n%s", table.render().c_str());
-
-    const double cost_first =
-        rows.front().modularSeconds /
-        static_cast<double>(rows.front().insts);
-    const double cost_last =
-        rows.back().modularSeconds /
-        static_cast<double>(rows.back().insts);
-    std::printf("\nPer-instruction cost ratio (%s vs %s): %.2fx\n",
-                rows.back().name.c_str(), rows.front().name.c_str(),
-                cost_first > 0.0 ? cost_last / cost_first : 0.0);
-    std::printf("  = workload (steps/inst) %.2fx  x  per-step cost %.2fx\n",
-                rows.front().stepsPerInst() > 0.0
-                    ? rows.back().stepsPerInst() /
-                          rows.front().stepsPerInst()
-                    : 0.0,
-                rows.front().nsPerStep() > 0.0
-                    ? rows.back().nsPerStep() / rows.front().nsPerStep()
-                    : 0.0);
-
-    writeModularJson(out_path, rows, &batch);
-    if (!all_identical) {
-        std::fprintf(stderr,
-                     "FAIL: modular and whole-program bounds differ\n");
-        return 1;
-    }
-    return 0;
-}
-
 } // namespace
 } // namespace manta
 
 int
-main(int argc, char **argv)
+main()
 {
-    bool modular = false;
-    bool quick = false;
-    int batch_size = -1;
-    std::string out_path = "BENCH_modular.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--modular") == 0)
-            modular = true;
-        else if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
-        else if (std::strcmp(argv[i], "--batch") == 0 && i + 1 < argc)
-            batch_size = std::atoi(argv[++i]);
-        else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-            out_path = argv[++i];
-    }
-    if (!modular)
-        return manta::runFig10();
-    if (batch_size < 0)
-        batch_size = quick ? 200 : 10000;
-    return manta::runModularLadder(quick, batch_size, out_path);
+    return manta::runFig10();
 }

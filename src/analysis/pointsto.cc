@@ -2,23 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 #include "support/chaos.h"
-#include "support/env.h"
 #include "support/error.h"
 #include "support/timer.h"
 
 namespace manta {
 
 const LocSet PointsTo::empty_;
-
-PtsSolver
-PointsTo::defaultSolver()
-{
-    return envFlagTruthy(std::getenv("MANTA_PTS_DENSE")) ? PtsSolver::Dense
-                                                         : PtsSolver::Sparse;
-}
 
 PointsTo::PointsTo(const Module &module, const MemObjects &objects,
                    bool flow_aware, PtsSolver solver)
@@ -734,7 +725,7 @@ PointsTo::collapseAll(const LocSet &locs) const
 }
 
 // ---------------------------------------------------------------------------
-// Dense reference transfer functions (MANTA_PTS_DENSE=1).
+// Dense reference transfer functions (PtsSolver::Dense).
 // ---------------------------------------------------------------------------
 
 bool

@@ -22,8 +22,8 @@
  *    id order, which makes it observationally identical to the dense
  *    reference (see docs/ARCHITECTURE.md, "Points-to solver").
  *  - The **dense reference** re-transfers every instruction per pass.
- *    It is kept behind `MANTA_PTS_DENSE=1` (or an explicit constructor
- *    argument) for differential testing and benchmarking.
+ *    Only an explicit `PtsSolver::Dense` constructor argument selects
+ *    it: the differential tests and the pts_diff fuzz oracle.
  */
 #ifndef MANTA_ANALYSIS_POINTSTO_H
 #define MANTA_ANALYSIS_POINTSTO_H
@@ -68,11 +68,11 @@ class PointsTo
      *        whose site may precede it on the CFG, with same-block
      *        strong updates. When false, the analysis degrades to the
      *        classic flow-insensitive inclusion style.
-     * @param solver Fixpoint engine; defaults to the sparse worklist
-     *        unless MANTA_PTS_DENSE=1 is set in the environment.
+     * @param solver Fixpoint engine; Dense is the differential
+     *        reference.
      */
     PointsTo(const Module &module, const MemObjects &objects,
-             bool flow_aware = true, PtsSolver solver = defaultSolver());
+             bool flow_aware = true, PtsSolver solver = PtsSolver::Sparse);
 
     /** Run the inclusion fixpoint. */
     void run();
@@ -111,9 +111,6 @@ class PointsTo
 
     /** The engine this instance runs. */
     PtsSolver solver() const { return solver_; }
-
-    /** Sparse unless MANTA_PTS_DENSE=1 is set in the environment. */
-    static PtsSolver defaultSolver();
 
     const MemObjects &objects() const { return objects_; }
 

@@ -2,7 +2,7 @@
  * @file
  * Callgraph condensation into strongly connected components.
  *
- * The modular bottom-up scheduler (core/pipeline.h, ScheduleMode)
+ * The modular bottom-up scheduler (core/modular.h, core/wave_walk.h)
  * analyzes one SCC of mutually recursive functions at a time, callees
  * before callers, so per-function summaries computed for a callee SCC
  * are already published when a caller SCC's traversals reach into it.

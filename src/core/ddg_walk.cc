@@ -1,57 +1,16 @@
 #include "core/ddg_walk.h"
 
-#include <cstdlib>
-#include <set>
 #include <unordered_set>
 
 #include "core/fn_summary.h"
 #include "core/modular.h"
-#include "support/env.h"
 
 namespace manta {
 
-WalkEngine
-defaultWalkEngine()
-{
-    static const WalkEngine engine =
-        envFlagTruthy(std::getenv("MANTA_WALK_REF")) ? WalkEngine::Reference
-                                                     : WalkEngine::Fast;
-    return engine;
-}
-
 namespace {
 
-/** Reference-engine traversal frame: node plus context stack copy. */
+/** Traversal frame: node plus interned context, trivially copyable. */
 struct Frame
-{
-    ValueId node;
-    std::vector<InstId> ctx;
-};
-
-/** Visited key: node plus context top (finite approximation). */
-struct VisitKey
-{
-    std::uint32_t node;
-    std::uint32_t top;
-
-    friend bool
-    operator<(const VisitKey &a, const VisitKey &b)
-    {
-        if (a.node != b.node)
-            return a.node < b.node;
-        return a.top < b.top;
-    }
-};
-
-VisitKey
-keyOf(const Frame &f)
-{
-    return VisitKey{f.node.raw(),
-                    f.ctx.empty() ? 0xffffffffu : f.ctx.back().raw()};
-}
-
-/** Fast-engine frame: two ids, trivially copyable. */
-struct FastFrame
 {
     std::uint32_t node;
     std::uint32_t ctx;
@@ -60,7 +19,8 @@ struct FastFrame
 } // namespace
 
 bool
-DdgWalker::arithEdgeFeasible(const Ddg::Edge &edge) const
+arithEdgeFeasible(const Ddg &ddg, const TypeEnv *env,
+                  const TypeTable &types, const Ddg::Edge &edge)
 {
     if (edge.kind != DepKind::PtrArith)
         return true;
@@ -71,23 +31,23 @@ DdgWalker::arithEdgeFeasible(const Ddg::Edge &edge) const
     // location-less operand feeding a location-bearing result is the
     // displacement, not the base (and vice versa for pointer
     // differences).
-    const PointsTo &pts = ddg_.pts();
+    const PointsTo &pts = ddg.pts();
     const bool from_ptr = !pts.locs(edge.from).empty();
     const bool to_ptr = !pts.locs(edge.to).empty();
     if (from_ptr != to_ptr)
         return false;
 
-    if (env_ == nullptr)
+    if (env == nullptr)
         return true;
     // Table 2 logic in traversal form: the numeric operand of a
     // pointer-producing add (or sub) is an offset, not an alias.
-    const BoundPair rb = env_->boundsOf(TypeVar::of(edge.to));
-    const BoundPair ob = env_->boundsOf(TypeVar::of(edge.from));
+    const BoundPair rb = env->boundsOf(TypeVar::of(edge.to));
+    const BoundPair ob = env->boundsOf(TypeVar::of(edge.from));
     auto definitely = [&](const BoundPair &bp, TypeKind kind) {
-        return types_.kind(bp.upper) == kind && bp.upper == bp.lower;
+        return types.kind(bp.upper) == kind && bp.upper == bp.lower;
     };
     auto definitely_num = [&](const BoundPair &bp) {
-        return bp.upper == bp.lower && types_.isNumeric(bp.upper);
+        return bp.upper == bp.lower && types.isNumeric(bp.upper);
     };
     if (definitely(rb, TypeKind::Ptr) && definitely_num(ob))
         return false;
@@ -105,7 +65,7 @@ DdgWalker::edgeFeasibleCached(std::uint32_t index, const Ddg::Edge &edge)
         edge_feasible_.assign(ddg_.numEdges(), 0);
     std::uint8_t &slot = edge_feasible_[index];
     if (slot == 0)
-        slot = arithEdgeFeasible(edge) ? 1 : 2;
+        slot = arithEdgeFeasible(ddg_, env_, types_, edge) ? 1 : 2;
     return slot == 1;
 }
 
@@ -211,18 +171,6 @@ DdgWalker::findRoots(ValueId v)
 {
     ++stats_.queries;
     beginQueryCapture();
-    std::vector<ValueId> roots = engine_ == WalkEngine::Fast
-                                     ? findRootsFast(v)
-                                     : findRootsRef(v);
-    mergeQueryIntoCandidate();
-    if (truncated_)
-        ++stats_.truncated;
-    return roots;
-}
-
-std::vector<ValueId>
-DdgWalker::findRootsFast(ValueId v)
-{
     truncated_ = false;
     visited_.ensure(v.raw() + 1);
     root_seen_.ensure(v.raw() + 1);
@@ -230,8 +178,8 @@ DdgWalker::findRootsFast(ValueId v)
     root_seen_.newEpoch();
 
     std::vector<ValueId> roots;
-    std::vector<FastFrame> work;
-    work.push_back(FastFrame{v.raw(), CtxInterner::kEmpty});
+    std::vector<Frame> work;
+    work.push_back(Frame{v.raw(), CtxInterner::kEmpty});
     visited_.insert(v.raw(), CtxInterner::kNoSite);
     touchValue(v.raw());
 
@@ -241,7 +189,7 @@ DdgWalker::findRootsFast(ValueId v)
             truncated_ = true;
             break;
         }
-        const FastFrame frame = work.back();
+        const Frame frame = work.back();
         work.pop_back();
 
         bool expanded = false;
@@ -275,7 +223,7 @@ DdgWalker::findRootsFast(ValueId v)
             const std::uint32_t to = edge.from.raw();
             visited_.ensure(to + 1);
             if (visited_.insert(to, interner_.top(ctx)))
-                work.push_back(FastFrame{to, ctx});
+                work.push_back(Frame{to, ctx});
         }
         if (!expanded) {
             root_seen_.ensure(frame.node + 1);
@@ -286,64 +234,9 @@ DdgWalker::findRootsFast(ValueId v)
     stats_.steps += steps;
     if (roots.empty())
         roots.push_back(v); // Algorithm 1 lines 18-19
-    return roots;
-}
-
-std::vector<ValueId>
-DdgWalker::findRootsRef(ValueId v)
-{
-    truncated_ = false;
-    std::vector<ValueId> roots;
-    std::set<VisitKey> visited;
-    std::unordered_set<std::uint32_t> root_set;
-    std::vector<Frame> work;
-    work.push_back(Frame{v, {}});
-    visited.insert(keyOf(work.back()));
-
-    std::size_t steps = 0;
-    while (!work.empty()) {
-        if (++steps > budget_.maxVisited) {
-            truncated_ = true;
-            break;
-        }
-        Frame frame = std::move(work.back());
-        work.pop_back();
-
-        bool expanded = false;
-        for (const auto idx : ddg_.inEdges(frame.node)) {
-            const Ddg::Edge &edge = ddg_.edge(idx);
-            if (edge.pruned || !isAliasEdge(edge.kind) ||
-                    !arithEdgeFeasible(edge)) {
-                continue;
-            }
-            Frame next;
-            next.node = edge.from;
-            next.ctx = frame.ctx;
-            if (edge.kind == DepKind::CallArg) {
-                // formal -> actual: exiting the callee.
-                if (!next.ctx.empty()) {
-                    if (next.ctx.back() != edge.site)
-                        continue; // CFL-invalid
-                    next.ctx.pop_back();
-                }
-            } else if (edge.kind == DepKind::CallRet) {
-                // call result -> return operand: entering the callee.
-                if (next.ctx.size() >= budget_.maxStack)
-                    continue;
-                next.ctx.push_back(edge.site);
-                if (next.ctx.size() > stats_.peakCtxDepth)
-                    stats_.peakCtxDepth = next.ctx.size();
-            }
-            expanded = true;
-            if (visited.insert(keyOf(next)).second)
-                work.push_back(std::move(next));
-        }
-        if (!expanded && root_set.insert(frame.node.raw()).second)
-            roots.push_back(frame.node);
-    }
-    stats_.steps += steps;
-    if (roots.empty())
-        roots.push_back(v); // Algorithm 1 lines 18-19
+    mergeQueryIntoCandidate();
+    if (truncated_)
+        ++stats_.truncated;
     return roots;
 }
 
@@ -352,25 +245,13 @@ DdgWalker::collectTypes(ValueId root, const HintIndex &hints)
 {
     ++stats_.queries;
     beginQueryCapture();
-    std::vector<TypeRef> types = engine_ == WalkEngine::Fast
-                                     ? collectTypesFast(root, hints)
-                                     : collectTypesRef(root, hints);
-    mergeQueryIntoCandidate();
-    if (truncated_)
-        ++stats_.truncated;
-    return types;
-}
-
-std::vector<TypeRef>
-DdgWalker::collectTypesFast(ValueId root, const HintIndex &hints)
-{
     truncated_ = false;
     visited_.ensure(root.raw() + 1);
     visited_.newEpoch();
 
     std::vector<TypeRef> types;
-    std::vector<FastFrame> work;
-    work.push_back(FastFrame{root.raw(), CtxInterner::kEmpty});
+    std::vector<Frame> work;
+    work.push_back(Frame{root.raw(), CtxInterner::kEmpty});
     visited_.insert(root.raw(), CtxInterner::kNoSite);
     touchValue(root.raw());
 
@@ -380,7 +261,7 @@ DdgWalker::collectTypesFast(ValueId root, const HintIndex &hints)
             truncated_ = true;
             break;
         }
-        const FastFrame frame = work.back();
+        const Frame frame = work.back();
         work.pop_back();
 
         const ValueId node(static_cast<ValueId::RawType>(frame.node));
@@ -413,64 +294,13 @@ DdgWalker::collectTypesFast(ValueId root, const HintIndex &hints)
             const std::uint32_t to = edge.to.raw();
             visited_.ensure(to + 1);
             if (visited_.insert(to, interner_.top(ctx)))
-                work.push_back(FastFrame{to, ctx});
+                work.push_back(Frame{to, ctx});
         }
     }
     stats_.steps += steps;
-    return types;
-}
-
-std::vector<TypeRef>
-DdgWalker::collectTypesRef(ValueId root, const HintIndex &hints)
-{
-    truncated_ = false;
-    std::vector<TypeRef> types;
-    std::set<VisitKey> visited;
-    std::vector<Frame> work;
-    work.push_back(Frame{root, {}});
-    visited.insert(keyOf(work.back()));
-
-    std::size_t steps = 0;
-    while (!work.empty()) {
-        if (++steps > budget_.maxVisited) {
-            truncated_ = true;
-            break;
-        }
-        Frame frame = std::move(work.back());
-        work.pop_back();
-
-        for (const TypeHint &hint : hints.of(frame.node))
-            types.push_back(hint.type);
-
-        for (const auto idx : ddg_.outEdges(frame.node)) {
-            const Ddg::Edge &edge = ddg_.edge(idx);
-            if (edge.pruned || !isAliasEdge(edge.kind) ||
-                    !arithEdgeFeasible(edge)) {
-                continue;
-            }
-            Frame next;
-            next.node = edge.to;
-            next.ctx = frame.ctx;
-            if (edge.kind == DepKind::CallArg) {
-                // actual -> formal: entering the callee.
-                if (next.ctx.size() >= budget_.maxStack)
-                    continue;
-                next.ctx.push_back(edge.site);
-                if (next.ctx.size() > stats_.peakCtxDepth)
-                    stats_.peakCtxDepth = next.ctx.size();
-            } else if (edge.kind == DepKind::CallRet) {
-                // return operand -> call result: exiting the callee.
-                if (!next.ctx.empty()) {
-                    if (next.ctx.back() != edge.site)
-                        continue; // CFL-invalid
-                    next.ctx.pop_back();
-                }
-            }
-            if (visited.insert(keyOf(next)).second)
-                work.push_back(std::move(next));
-        }
-    }
-    stats_.steps += steps;
+    mergeQueryIntoCandidate();
+    if (truncated_)
+        ++stats_.truncated;
     return types;
 }
 
@@ -519,12 +349,6 @@ DdgWalker::rootsOf(ValueId v)
 const std::vector<TypeRef> &
 DdgWalker::typesOf(ValueId root, const HintIndex &hints)
 {
-    if (engine_ == WalkEngine::Reference) {
-        // The reference engine recomputes every COLLECT_TYPES query,
-        // preserving the original walker's cost model for benchmarks.
-        scratch_types_ = collectTypes(root, hints);
-        return scratch_types_;
-    }
     if (memo_hints_ != &hints) {
         types_memo_.clear();
         types_funcs_.clear();

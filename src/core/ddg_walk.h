@@ -14,26 +14,18 @@
  * feasibility checking", Section 4.2.1): a numeric operand cannot be
  * the alias root of a pointer result.
  *
- * Two engines compute identical answers:
- *
- *  - The **fast engine** (default) represents a calling context as one
- *    32-bit id into a hash-consed context tree (push/pop/top are O(1)
- *    and a frame is two words, where the reference copies a heap
- *    vector per edge crossing), keeps visited/root marks in
- *    epoch-stamped flat arrays reused across queries with zero
- *    clearing, caches pointer-arithmetic feasibility per edge, and
- *    memoizes whole findRoots/collectTypes closures per start node so
- *    the thousands of over-approximated values queried in a refinement
- *    pass share work. Truncated (budget-limited) queries are never
- *    memoized.
- *  - The **reference engine** (`MANTA_WALK_REF=1`, or an explicit
- *    constructor argument) is the original walker: a fresh std::set
- *    visited per query, a std::vector context stack copied on every
- *    crossing, no memoization. Kept for differential testing and as
- *    the benchmark baseline (`bench/micro_refine`).
- *
- * Both engines expand the same frames in the same order, so roots and
- * collected types come back in identical order, element for element.
+ * Calling contexts are 32-bit ids into a hash-consed context tree
+ * (push/pop/top are O(1) and a frame is two words), visited/root marks
+ * live in epoch-stamped flat arrays reused across queries with zero
+ * clearing, pointer-arithmetic feasibility is cached per edge, and
+ * whole findRoots/collectTypes closures are memoized per start node so
+ * the thousands of over-approximated values queried in a refinement
+ * pass share work. Truncated (budget-limited) queries are never
+ * memoized. The original walker (a std::set visited per query, a
+ * context vector copied on every crossing, no memo) survives only as
+ * the test-side reference in reference/refine_ref.h; both expand the
+ * same frames in the same order, so roots and collected types agree
+ * element for element.
  *
  * A walker instance assumes the DDG's pruning state and the type
  * environment are frozen for its lifetime; the refinement stages
@@ -64,14 +56,13 @@ struct WalkBudget
     std::size_t maxStack = 32;      ///< Calling-context depth.
 };
 
-/** Which traversal engine answers walker queries. */
-enum class WalkEngine : std::uint8_t {
-    Fast,      ///< Interned contexts + epochs + summaries (default).
-    Reference, ///< Original per-query-allocating walker.
-};
-
-/** Fast unless MANTA_WALK_REF=1 is set in the environment. */
-WalkEngine defaultWalkEngine();
+/**
+ * Feasibility of traversing a ptr-arith edge as an alias link ("resolve
+ * the type of operands first", Section 4.2.1); every other edge kind
+ * is feasible. `env` may be null (points-to evidence only).
+ */
+bool arithEdgeFeasible(const Ddg &ddg, const TypeEnv *env,
+                       const TypeTable &types, const Ddg::Edge &edge);
 
 /** Work counters for one walker (aggregated into InferenceProfile). */
 struct WalkStats
@@ -248,14 +239,10 @@ class DdgWalker
      *            mutation-free const read path is used.
      * @param types The shared type table.
      * @param budget Traversal budgets.
-     * @param engine Fast or reference engine (MANTA_WALK_REF=1 flips
-     *               the default to the reference).
      */
     DdgWalker(const Ddg &ddg, const TypeEnv *env, TypeTable &types,
-              WalkBudget budget = {},
-              WalkEngine engine = defaultWalkEngine())
-        : ddg_(ddg), env_(env), types_(types), budget_(budget),
-          engine_(engine)
+              WalkBudget budget = {})
+        : ddg_(ddg), env_(env), types_(types), budget_(budget)
     {}
 
     /**
@@ -272,15 +259,13 @@ class DdgWalker
 
     /**
      * Memoized FIND_ROOTS: the returned reference stays valid until
-     * the next walker call. Both engines memoize here (the flow stage
-     * always cached roots); truncated queries are never cached.
+     * the next walker call; truncated queries are never cached.
      */
     const std::vector<ValueId> &rootsOf(ValueId v);
 
     /**
-     * Memoized COLLECT_TYPES (fast engine only; the reference engine
-     * recomputes, preserving the original cost model). All calls on
-     * one walker must pass the same HintIndex.
+     * Memoized COLLECT_TYPES. All calls on one walker must pass the
+     * same HintIndex.
      */
     const std::vector<TypeRef> &typesOf(ValueId root,
                                         const HintIndex &hints);
@@ -298,17 +283,8 @@ class DdgWalker
      */
     void resetStats() { stats_ = WalkStats{}; }
 
-    WalkEngine engine() const { return engine_; }
-
     /** The context tree, shared with the flow stage's CFG walks. */
     CtxInterner &interner() { return interner_; }
-
-    /**
-     * Feasibility of traversing a ptr-arith edge as an alias link
-     * (cached per edge by the fast engine; the environment and the
-     * pruning state are frozen for the walker's lifetime).
-     */
-    bool arithEdgeFeasible(const Ddg::Edge &edge) const;
 
     /// @name Shared cross-SCC summaries (core/fn_summary.h).
     ///
@@ -350,8 +326,7 @@ class DdgWalker
     /// Memoized queries store their touched-function list alongside the
     /// summary and replay it on hits, so a candidate's touched-set is
     /// complete even when its queries were answered from summaries
-    /// computed for an earlier candidate. Fast engine only; the stages
-    /// never enable capture on the reference engine.
+    /// computed for an earlier candidate.
     /// @{
 
     /** `owners[value raw id]` = owning function raw id (invalid raw =
@@ -398,12 +373,6 @@ class DdgWalker
     /// @}
 
   private:
-    std::vector<ValueId> findRootsFast(ValueId v);
-    std::vector<ValueId> findRootsRef(ValueId v);
-    std::vector<TypeRef> collectTypesFast(ValueId root,
-                                          const HintIndex &hints);
-    std::vector<TypeRef> collectTypesRef(ValueId root,
-                                         const HintIndex &hints);
     bool edgeFeasibleCached(std::uint32_t index, const Ddg::Edge &edge);
 
     /** Record one value read by the current query (capture only). */
@@ -438,7 +407,6 @@ class DdgWalker
     const TypeEnv *env_;
     TypeTable &types_;
     WalkBudget budget_;
-    WalkEngine engine_;
     const FnSummaryStore *shared_ = nullptr;
     bool truncated_ = false;
     WalkStats stats_;

@@ -12,7 +12,7 @@
  * from this store cannot change any refined bound; it only removes
  * repeated traversal work.
  *
- * Concurrency protocol (core/refine_ctx.cc, core/refine_flow.cc):
+ * Concurrency protocol (core/wave_walk.h):
  * within one scheduling wave the store is frozen and read by many
  * walkers concurrently; between waves the scheduler publishes each
  * pack's harvest sequentially in pack order (first entry wins), so

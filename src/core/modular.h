@@ -2,19 +2,17 @@
  * @file
  * Bottom-up SCC scheduling of refinement worklists.
  *
- * The modular engine does not change WHAT the refinement stages
- * compute — the sequential merge phase still runs in global worklist
- * order, so every refined bound is bit-identical to the whole-program
- * path (ScheduleMode::WholeProgram / MANTA_WP=1). What it changes is
- * the ORDER and GROUPING of the read-only walk phase: candidates are
- * grouped by the SCC of their owning function and processed in
- * bottom-up waves over the callgraph condensation
- * (analysis/scc.h). After each wave the workers' freshly memoized
- * FIND_ROOTS/COLLECT_TYPES closures are published into a shared
- * FnSummaryStore (core/fn_summary.h), so traversals from caller SCCs
- * instantiate callee summaries instead of re-walking callee bodies —
- * the BinSub-style summary reuse the whole-program path only gets
- * within a single worker's private memo.
+ * Scheduling does not change WHAT the refinement stages compute - the
+ * sequential merge phase still runs in global worklist order, so every
+ * refined bound equals the one-worklist reference
+ * (reference/refine_ref.h). What it changes is the ORDER and GROUPING
+ * of the read-only walk phase: candidates are grouped by the SCC of
+ * their owning function and processed in bottom-up waves over the
+ * callgraph condensation (analysis/scc.h). After each wave the
+ * workers' freshly memoized FIND_ROOTS/COLLECT_TYPES closures are
+ * published into a shared FnSummaryStore (core/fn_summary.h), so
+ * traversals from caller SCCs instantiate callee summaries instead of
+ * re-walking callee bodies (core/wave_walk.h runs the protocol).
  *
  * Determinism: wave membership and pack boundaries depend only on the
  * module (never on MANTA_JOBS), packs are published sequentially in

@@ -8,15 +8,6 @@
 
 namespace manta {
 
-ScheduleMode
-defaultScheduleMode()
-{
-    static const ScheduleMode mode =
-        envFlagTruthy(std::getenv("MANTA_WP")) ? ScheduleMode::WholeProgram
-                                               : ScheduleMode::ModularBottomUp;
-    return mode;
-}
-
 InferEngine
 defaultInferEngine()
 {
@@ -185,38 +176,32 @@ MantaAnalyzer::infer(const HybridConfig &config, RefineMemo *memo)
     }
 
     // The memo keys candidate records by post-FI content, so it only
-    // engages when the FI stage ran and the fast engine answers the
-    // walks; beginRun lets the memo itself veto (e.g. on a budget or
-    // configuration mismatch with its stored records).
+    // engages when the unification FI stage ran; beginRun lets the
+    // memo itself veto (e.g. on a budget or configuration mismatch
+    // with its stored records).
     if (memo != nullptr) {
         if (!config_.flowInsensitive ||
                 config_.inferEngine != InferEngine::Unify ||
-                config_.walkEngine != WalkEngine::Fast ||
                 !memo->beginRun(module_, *ddg_, *hints_, *pts_, env_ref,
                                 config_.budget))
             memo = nullptr;
     }
 
-    // Modular bottom-up scheduling: one shared summary store for the
-    // whole run (CS then FS walk over the same frozen environment and
-    // hint index, so FS instantiates the closures CS published).
+    // Bottom-up SCC waves with one shared summary store for the whole
+    // run (CS then FS walk over the same frozen environment and hint
+    // index, so FS instantiates the closures CS published).
     const ModularSchedule *sched = nullptr;
     FnSummaryStore store;
-    FnSummaryStore *store_ptr = nullptr;
-    if (config_.scheduleMode == ScheduleMode::ModularBottomUp &&
-            config_.walkEngine == WalkEngine::Fast &&
-            (config_.contextSensitive || config_.flowSensitive)) {
+    if (config_.contextSensitive || config_.flowSensitive) {
         sched = &schedule(&result.profile_.summarySeconds);
-        store_ptr = &store;
         result.profile_.sccCount = sched->sccs().numSccs();
         result.profile_.sccWaves = sched->sccs().numWaves();
     }
 
     auto run_cs = [&](const std::vector<ValueId> &candidates) {
         const ScopedSeconds cs_clock(result.profile_.csSeconds);
-        CtxRefinement cs(module_, *ddg_, *hints_, env_ref, config_.budget,
-                         config_.walkEngine, config_.walkParallel, memo,
-                         sched, store_ptr);
+        CtxRefinement cs(module_, *ddg_, *hints_, env_ref, *sched, store,
+                         config_.budget, memo);
         CtxRefineResult cs_result = cs.run(candidates);
         result.profile_.csResolved = cs_result.resolved;
         result.profile_.csStillOver = cs_result.stillOver.size();
@@ -228,9 +213,8 @@ MantaAnalyzer::infer(const HybridConfig &config, RefineMemo *memo)
     };
     auto run_fs = [&](const std::vector<ValueId> &candidates) {
         const ScopedSeconds fs_clock(result.profile_.fsSeconds);
-        FlowRefinement fs(module_, *ddg_, *hints_, env_ref, config_.budget,
-                          config_.walkEngine, config_.walkParallel, memo,
-                          sched, store_ptr);
+        FlowRefinement fs(module_, *ddg_, *hints_, env_ref, *sched, store,
+                          config_.budget, memo);
         FlowRefineResult fs_result = fs.run(candidates);
         result.profile_.fsResolved = fs_result.resolved;
         result.profile_.fsLost = fs_result.lost;

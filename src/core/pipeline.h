@@ -29,23 +29,6 @@
 
 namespace manta {
 
-/** How the refinement walk phases are scheduled. */
-enum class ScheduleMode : std::uint8_t {
-    /**
-     * Bottom-up over callgraph SCC waves with a shared per-function
-     * summary store (core/modular.h). The default: bit-identical
-     * bounds to WholeProgram, but cross-SCC closures are computed once
-     * and instantiated at call sites instead of re-walked per worker.
-     */
-    ModularBottomUp,
-    /** Flat fixed-size chunks over the worklist (the original path;
-     *  kept as the bit-identity reference, MANTA_WP=1). */
-    WholeProgram,
-};
-
-/** ModularBottomUp unless MANTA_WP=1 is set in the environment. */
-ScheduleMode defaultScheduleMode();
-
 /** Which flow-insensitive inference core populates the TypeEnv. */
 enum class InferEngine : std::uint8_t {
     /** Unification over equivalence classes (core/unify.h, default). */
@@ -78,37 +61,12 @@ struct HybridConfig
     /**
      * Which flow-insensitive core runs stage 1. Both cores commit the
      * same artifact (per-variable BoundPair sketches in the TypeEnv),
-     * so the CS/FS refinement stages, modular scheduling and clients
-     * work with either; the cross-run refinement memo only engages for
-     * the default Unify core (its records key on unifier output).
+     * so the CS/FS refinement stages and clients work with either;
+     * the cross-run refinement memo only engages for the default
+     * Unify core (its records key on unifier output).
      * Honors MANTA_INFER=subtype.
      */
     InferEngine inferEngine = defaultInferEngine();
-
-    /**
-     * Which DDG/CFG traversal engine the refinement stages use. The
-     * default honors MANTA_WALK_REF=1 (reference engine); both engines
-     * produce bit-identical bounds — the reference exists for
-     * differential testing and as the benchmark baseline.
-     */
-    WalkEngine walkEngine = defaultWalkEngine();
-
-    /**
-     * Batch refinement traversals across the shared task pool (fast
-     * engine only; the reference engine always runs sequentially).
-     * Results are independent of MANTA_JOBS: the worklist is chunked
-     * at a fixed size and all type-table mutation happens in a
-     * sequential merge phase.
-     */
-    bool walkParallel = true;
-
-    /**
-     * Walk-phase scheduling. Modular bottom-up engages only with the
-     * fast engine (the reference engine always runs the whole-program
-     * path, preserving its cost model); either way the refined bounds
-     * are bit-identical — only the traversal work differs.
-     */
-    ScheduleMode scheduleMode = defaultScheduleMode();
 
     static HybridConfig
     fiOnly()
@@ -167,15 +125,15 @@ struct InferenceProfile
     /**
      * Traversal work counters of the refinement stages (queries, memo
      * hits, truncations, steps, peak calling-context depth), merged
-     * across every walker the stage ran. Bounds are engine- and
-     * job-count-independent; these counters are not (the reference
-     * engine never hits a memo, and sequential runs share one memo
-     * across the whole worklist where parallel runs share per-chunk).
+     * across every walker the stage ran. Packs are fixed-size and
+     * published in pack order, so these are job-count-independent
+     * like the bounds; a warm serve run (cross-run memo hits) walks
+     * less than a cold one.
      */
     WalkStats csWalk;  ///< Context-sensitive stage.
     WalkStats fsWalk;  ///< Flow-sensitive stage.
 
-    /// @name Modular scheduling counters (zero in whole-program mode).
+    /// @name Modular scheduling counters (zero when CS and FS are off).
     /// @{
     std::size_t sccCount = 0;     ///< Callgraph SCCs.
     std::size_t sccWaves = 0;     ///< Bottom-up wave levels.
@@ -265,9 +223,10 @@ class InferenceResult
 
     /**
      * Raw refinement overlays (variable- and site-level), exposed so
-     * differential harnesses (micro_refine, the walk_diff fuzz oracle)
-     * can compare two results bound-for-bound without enumerating
-     * every (value, site) pair.
+     * differential harnesses (reference/refine_ref.h's diffOverlays,
+     * the walk_diff fuzz oracle) can compare a result with the
+     * reference bound-for-bound without enumerating every (value,
+     * site) pair.
      */
     const std::unordered_map<ValueId, BoundPair> &
     overlay() const
@@ -321,9 +280,9 @@ class MantaAnalyzer
     /**
      * Run with a cross-run refinement memo (serve/incremental mode).
      * The memo is consulted and populated by the CS/FS stages; it is
-     * only engaged for the fast walk engine with the flow-insensitive
-     * stage on (the memo keys candidates by post-FI content), and only
-     * if `memo->beginRun(...)` accepts this module/configuration.
+     * only engaged with the unification flow-insensitive stage on (the
+     * memo keys candidates by post-FI content), and only if
+     * `memo->beginRun(...)` accepts this module/configuration.
      */
     InferenceResult infer(const HybridConfig &config, RefineMemo *memo);
 
@@ -334,8 +293,9 @@ class MantaAnalyzer
     Module &module() { return module_; }
 
     /**
-     * Callgraph + SCC condensation + value attribution for modular
-     * scheduling, built lazily on the first modular infer() and cached
+     * Callgraph + SCC condensation + value attribution for the
+     * refinement walk waves, built lazily on the first infer() that
+     * runs CS or FS (and by the taint engine) and cached
      * for the analyzer's lifetime (the module is frozen). The double
      * return lets the first build be billed to that run's
      * summarySeconds.

@@ -1,32 +1,11 @@
 #include "core/refine_ctx.h"
 
-#include <algorithm>
 #include <memory>
-#include <mutex>
 #include <unordered_set>
 
-#include "support/task_pool.h"
+#include "core/wave_walk.h"
 
 namespace manta {
-
-void
-CtxRefinement::collectFor(DdgWalker &walker, ValueId v,
-                          std::vector<TypeRef> &out) const
-{
-    if (walker.engine() == WalkEngine::Fast) {
-        for (const ValueId root : walker.rootsOf(v)) {
-            const auto &collected = walker.typesOf(root, hints_);
-            out.insert(out.end(), collected.begin(), collected.end());
-        }
-    } else {
-        // The reference engine recomputes every query, preserving the
-        // original walker's cost model.
-        for (const ValueId root : walker.findRoots(v)) {
-            const auto collected = walker.collectTypes(root, hints_);
-            out.insert(out.end(), collected.begin(), collected.end());
-        }
-    }
-}
 
 CtxRefineResult
 CtxRefinement::run(const std::vector<ValueId> &over_approx)
@@ -38,7 +17,7 @@ CtxRefinement::run(const std::vector<ValueId> &over_approx)
     // Phase 0: memo consult. Each lookup is a hash-compare over the
     // candidate's recorded touched-set; hits skip the walk phase
     // entirely (their stored bounds are applied in the merge phase).
-    const bool use_memo = memo_ != nullptr && engine_ == WalkEngine::Fast;
+    const bool use_memo = memo_ != nullptr;
     std::vector<CtxCached> cached(use_memo ? n : 0);
     std::vector<char> hit(n, 0);
     std::vector<std::size_t> misses;
@@ -60,102 +39,30 @@ CtxRefinement::run(const std::vector<ValueId> &over_approx)
     std::vector<std::vector<std::uint32_t>> touched(use_memo ? m : 0);
     std::vector<char> poisoned(m, 0);
 
-    auto walkOne = [&](DdgWalker &walker, std::size_t k) {
+    // Phase 1: traversal. Reads only frozen state (graph, environment,
+    // hints, interned types), so packs can run on the shared pool.
+    auto make = [&]() {
+        auto walker = std::make_unique<DdgWalker>(ddg_, &env_, tt, budget_);
+        walker->attachSharedSummaries(&summaries_);
+        if (use_memo)
+            walker->enableTouchCapture(owners, owners_count);
+        return walker;
+    };
+    auto walk = [&](DdgWalker &walker, std::size_t k) {
         if (use_memo)
             walker.beginCandidate();
-        collectFor(walker, over_approx[misses[k]], collected[k]);
+        for (const ValueId root : walker.rootsOf(over_approx[misses[k]])) {
+            const auto &types = walker.typesOf(root, hints_);
+            collected[k].insert(collected[k].end(), types.begin(),
+                                types.end());
+        }
         if (use_memo) {
             touched[k] = walker.candidateTouched();
             poisoned[k] = walker.candidatePoisoned() ? 1 : 0;
         }
     };
-
-    // Phase 1: traversal. Reads only frozen state (graph, environment,
-    // hints, interned types), so packs/chunks can run on the shared
-    // pool.
-    const bool modular = schedule_ != nullptr && summaries_ != nullptr &&
-                         engine_ == WalkEngine::Fast;
-    if (modular && m > 0) {
-        // Bottom-up SCC waves: callee-wave closures are published into
-        // the shared store before caller waves walk, so cross-SCC
-        // traversals instantiate summaries instead of re-walking.
-        const auto waves = schedule_->plan(over_approx, misses, kChunk);
-        // Walker construction allocates module-sized scratch, so a
-        // freelist recycles walkers across packs and waves (thousands
-        // of packs on the xxl rungs). Reuse is invisible to results:
-        // harvest drains the memo, scratch is epoch-stamped, and
-        // visited keys are instruction ids, never interner ids.
-        std::vector<std::unique_ptr<DdgWalker>> pool_store;
-        std::vector<DdgWalker *> idle;
-        std::mutex pool_mu;
-        auto acquire = [&]() -> DdgWalker * {
-            std::lock_guard<std::mutex> lock(pool_mu);
-            if (!idle.empty()) {
-                DdgWalker *w = idle.back();
-                idle.pop_back();
-                return w;
-            }
-            pool_store.push_back(std::make_unique<DdgWalker>(
-                ddg_, &env_, tt, budget_, engine_));
-            DdgWalker *w = pool_store.back().get();
-            w->attachSharedSummaries(summaries_);
-            if (use_memo)
-                w->enableTouchCapture(owners, owners_count);
-            return w;
-        };
-        auto release = [&](DdgWalker *w) {
-            std::lock_guard<std::mutex> lock(pool_mu);
-            idle.push_back(w);
-        };
-        for (const auto &wave : waves) {
-            const std::size_t np = wave.packs.size();
-            std::vector<WalkStats> stats(np);
-            std::vector<FnSummaryStore::Delta> deltas(np);
-            auto runPack = [&](std::size_t p) {
-                DdgWalker *walker = acquire();
-                walker->resetStats();
-                for (const std::size_t k : wave.packs[p].ks)
-                    walkOne(*walker, k);
-                stats[p] = walker->stats();
-                walker->harvestSummaries(deltas[p], *schedule_);
-                release(walker);
-            };
-            if (parallel_ && np > 1) {
-                sharedPool().parallelFor(np, runPack);
-            } else {
-                for (std::size_t p = 0; p < np; ++p)
-                    runPack(p);
-            }
-            // Sequential publication in pack order keeps the store
-            // contents (and thus every later wave's summary hits)
-            // independent of MANTA_JOBS.
-            for (std::size_t p = 0; p < np; ++p) {
-                result.walk.merge(stats[p]);
-                summaries_->publish(std::move(deltas[p]));
-            }
-        }
-    } else if (parallel_ && engine_ == WalkEngine::Fast && m > 1) {
-        const std::size_t chunks = (m + kChunk - 1) / kChunk;
-        std::vector<WalkStats> stats(chunks);
-        sharedPool().parallelFor(chunks, [&](std::size_t c) {
-            DdgWalker walker(ddg_, &env_, tt, budget_, engine_);
-            if (use_memo)
-                walker.enableTouchCapture(owners, owners_count);
-            const std::size_t hi = std::min(m, (c + 1) * kChunk);
-            for (std::size_t k = c * kChunk; k < hi; ++k)
-                walkOne(walker, k);
-            stats[c] = walker.stats();
-        });
-        for (const WalkStats &s : stats)
-            result.walk.merge(s);
-    } else if (m > 0) {
-        DdgWalker walker(ddg_, &env_, tt, budget_, engine_);
-        if (use_memo)
-            walker.enableTouchCapture(owners, owners_count);
-        for (std::size_t k = 0; k < m; ++k)
-            walkOne(walker, k);
-        result.walk = walker.stats();
-    }
+    result.walk = runWalkWaves<DdgWalker>(schedule_, summaries_, over_approx,
+                                          misses, make, walk);
 
     // Phase 2: merge, sequentially in worklist order (join/meet intern
     // new type nodes; the interning order defines TypeRef ids).

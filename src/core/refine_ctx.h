@@ -11,22 +11,13 @@
  *
  * The stage runs in two phases so the traversal work can be batched
  * across the shared task pool: a walk phase that only reads the graph,
- * the environment and the hint index (each worker owns a DdgWalker
- * with its own memo tables and scratch), and a sequential merge phase
- * that performs every TypeTable::join/meet in worklist order — the
- * table interns new nodes on join, which is neither thread-safe nor
- * order-independent at the TypeRef-id level. The worklist is split
- * into fixed-size chunks independent of the job count, so memo
- * sharing (and therefore the walk statistics) do not depend on
- * MANTA_JOBS.
- *
- * With a ModularSchedule + FnSummaryStore attached (the modular
- * bottom-up mode, core/modular.h), the walk phase runs as SCC waves
- * over the callgraph condensation instead of flat chunks: each wave's
- * packs execute concurrently against the frozen store, and their
- * freshly memoized closures are published sequentially in pack order
- * before the next wave starts. The merge phase is untouched, so the
- * refined bounds are bit-identical to the whole-program path.
+ * the environment and the hint index, run as bottom-up SCC waves
+ * against the shared summary store (core/wave_walk.h), and a sequential
+ * merge phase that performs every TypeTable::join/meet in worklist
+ * order - the table interns new nodes on join, which is neither
+ * thread-safe nor order-independent at the TypeRef-id level. The
+ * refined bounds therefore equal the one-worklist reference
+ * (reference/refine_ref.h) bound for bound.
  */
 #ifndef MANTA_CORE_REFINE_CTX_H
 #define MANTA_CORE_REFINE_CTX_H
@@ -63,39 +54,33 @@ struct CtxRefineResult
 class CtxRefinement
 {
   public:
+    /**
+     * @param schedule  Callgraph condensation the walk waves follow.
+     * @param summaries Store shared with the other stage of the run;
+     *                  this stage publishes its closures into it.
+     * @param memo      Cross-run memo (serve incremental mode) or null.
+     */
     CtxRefinement(Module &module, const Ddg &ddg, const HintIndex &hints,
-                  TypeEnv &env, WalkBudget budget = {},
-                  WalkEngine engine = defaultWalkEngine(),
-                  bool parallel = false, RefineMemo *memo = nullptr,
-                  const ModularSchedule *schedule = nullptr,
-                  FnSummaryStore *summaries = nullptr)
+                  TypeEnv &env, const ModularSchedule &schedule,
+                  FnSummaryStore &summaries, WalkBudget budget = {},
+                  RefineMemo *memo = nullptr)
         : module_(module), ddg_(ddg), hints_(hints), env_(env),
-          budget_(budget), engine_(engine), parallel_(parallel),
-          memo_(memo), schedule_(schedule), summaries_(summaries)
+          schedule_(schedule), summaries_(summaries), budget_(budget),
+          memo_(memo)
     {}
 
     /** Refine every variable in `over_approx` (Algorithm 1). */
     CtxRefineResult run(const std::vector<ValueId> &over_approx);
 
   private:
-    /** FIND_ROOTS + COLLECT_TYPES for one variable, appended to `out`. */
-    void collectFor(DdgWalker &walker, ValueId v,
-                    std::vector<TypeRef> &out) const;
-
-    /** Worklist chunk size; fixed so results and statistics do not
-     *  depend on the worker count. */
-    static constexpr std::size_t kChunk = 128;
-
     Module &module_;
     const Ddg &ddg_;
     const HintIndex &hints_;
     TypeEnv &env_;
+    const ModularSchedule &schedule_;
+    FnSummaryStore &summaries_;
     WalkBudget budget_;
-    WalkEngine engine_;
-    bool parallel_;
     RefineMemo *memo_;
-    const ModularSchedule *schedule_;
-    FnSummaryStore *summaries_;
 };
 
 } // namespace manta

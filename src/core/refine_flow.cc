@@ -1,26 +1,46 @@
 #include "core/refine_flow.h"
 
-#include <algorithm>
 #include <memory>
-#include <mutex>
-#include <set>
 
-#include "support/task_pool.h"
+#include "core/wave_walk.h"
 
 namespace manta {
 
 /**
  * Per-worker walk-phase scratch. The DdgWalker answers the alias-root
  * queries (memoized within the worker); the interner/epoch structures
- * back the fast CFG walks. Everything a worker touches beyond this is
- * frozen for the whole phase.
+ * back the CFG walks. Everything a worker touches beyond this is
+ * frozen for the whole phase. The stats/harvest trio is what
+ * runWalkWaves (core/wave_walk.h) drives.
  */
 struct FlowRefinement::Worker
 {
     Worker(const Ddg &ddg, const TypeEnv *env, TypeTable &types,
-           WalkBudget budget, WalkEngine engine)
-        : walker(ddg, env, types, budget, engine)
+           WalkBudget budget)
+        : walker(ddg, env, types, budget)
     {}
+
+    void
+    resetStats()
+    {
+        walker.resetStats();
+        cfgStats = WalkStats{};
+    }
+
+    WalkStats
+    stats() const
+    {
+        WalkStats merged = walker.stats();
+        merged.merge(cfgStats);
+        return merged;
+    }
+
+    void
+    harvestSummaries(FnSummaryStore::Delta &delta,
+                     const ModularSchedule &schedule)
+    {
+        walker.harvestSummaries(delta, schedule);
+    }
 
     DdgWalker walker;
     CtxInterner ctx;        ///< Contexts for the CFG walk (call insts).
@@ -31,13 +51,12 @@ struct FlowRefinement::Worker
 
 FlowRefinement::FlowRefinement(Module &module, const Ddg &ddg,
                                const HintIndex &hints, TypeEnv &env,
-                               WalkBudget budget, WalkEngine engine,
-                               bool parallel, RefineMemo *memo,
-                               const ModularSchedule *schedule,
-                               FnSummaryStore *summaries)
-    : module_(module), ddg_(ddg), hints_(hints), env_(env), budget_(budget),
-      engine_(engine), parallel_(parallel), memo_(memo),
-      schedule_(schedule), summaries_(summaries), instIndex_(module)
+                               const ModularSchedule &schedule,
+                               FnSummaryStore &summaries, WalkBudget budget,
+                               RefineMemo *memo)
+    : module_(module), ddg_(ddg), hints_(hints), env_(env),
+      schedule_(schedule), summaries_(summaries), budget_(budget),
+      memo_(memo), instIndex_(module)
 {}
 
 const Cfg &
@@ -51,35 +70,8 @@ FlowRefinement::cfgOf(FuncId func)
 
 namespace {
 
-/** Reference-engine CFG walk item: instruction plus context copy. */
+/** CFG walk item: instruction plus interned context. */
 struct WalkItem
-{
-    InstId inst;
-    std::vector<InstId> ctx;
-};
-
-struct VisitKey
-{
-    std::uint32_t inst;
-    std::uint32_t top;
-    friend bool
-    operator<(const VisitKey &a, const VisitKey &b)
-    {
-        if (a.inst != b.inst)
-            return a.inst < b.inst;
-        return a.top < b.top;
-    }
-};
-
-VisitKey
-keyOf(const WalkItem &item)
-{
-    return VisitKey{item.inst.raw(),
-                    item.ctx.empty() ? 0xffffffffu : item.ctx.back().raw()};
-}
-
-/** Fast-engine CFG walk item: two ids. */
-struct FastItem
 {
     std::uint32_t inst;
     std::uint32_t ctx;
@@ -88,14 +80,14 @@ struct FastItem
 } // namespace
 
 std::vector<TypeRef>
-FlowRefinement::reachableTypesFast(Worker &w, InstId site)
+FlowRefinement::reachableTypes(Worker &w, InstId site)
 {
     ++w.cfgStats.queries;
     std::vector<TypeRef> types;
     w.visited.ensure(site.raw() + 1);
     w.visited.newEpoch();
-    std::vector<FastItem> work;
-    work.push_back(FastItem{site.raw(), CtxInterner::kEmpty});
+    std::vector<WalkItem> work;
+    work.push_back(WalkItem{site.raw(), CtxInterner::kEmpty});
     w.visited.insert(site.raw(), CtxInterner::kNoSite);
 
     std::size_t steps = 0;
@@ -104,7 +96,7 @@ FlowRefinement::reachableTypesFast(Worker &w, InstId site)
             ++w.cfgStats.truncated;
             break;
         }
-        const FastItem item = work.back();
+        const WalkItem item = work.back();
         work.pop_back();
 
         const InstId iid(static_cast<InstId::RawType>(item.inst));
@@ -133,7 +125,7 @@ FlowRefinement::reachableTypesFast(Worker &w, InstId site)
         auto enqueue = [&](InstId next, std::uint32_t ctx) {
             w.visited.ensure(next.raw() + 1);
             if (w.visited.insert(next.raw(), w.ctx.top(ctx)))
-                work.push_back(FastItem{next.raw(), ctx});
+                work.push_back(WalkItem{next.raw(), ctx});
         };
 
         // Descend into direct callees: the callee body executes before
@@ -187,97 +179,6 @@ FlowRefinement::reachableTypesFast(Worker &w, InstId site)
     return types;
 }
 
-std::vector<TypeRef>
-FlowRefinement::reachableTypesRef(Worker &w, InstId site)
-{
-    ++w.cfgStats.queries;
-    std::vector<TypeRef> types;
-    std::set<VisitKey> visited;
-    std::vector<WalkItem> work;
-    work.push_back(WalkItem{site, {}});
-    visited.insert(keyOf(work.back()));
-
-    std::size_t steps = 0;
-    while (!work.empty()) {
-        if (++steps > budget_.maxVisited) {
-            ++w.cfgStats.truncated;
-            break;
-        }
-        WalkItem item = std::move(work.back());
-        work.pop_back();
-
-        const Instruction &inst = module_.inst(item.inst);
-
-        // Annotation check: the first alias annotation met along the
-        // path is collected and strong-updates (stops) the path.
-        bool stop = false;
-        for (const TypeHint &hint : hints_.at(item.inst)) {
-            for (const ValueId r : w.walker.rootsOf(hint.value)) {
-                if (w.roots.marked(r.raw())) {
-                    types.push_back(hint.type);
-                    stop = true;
-                    break;
-                }
-            }
-        }
-        if (stop)
-            continue;
-
-        auto enqueue = [&](InstId next, std::vector<InstId> ctx) {
-            WalkItem n{next, std::move(ctx)};
-            if (visited.insert(keyOf(n)).second)
-                work.push_back(std::move(n));
-        };
-
-        // Descend into direct callees: the callee body executes before
-        // control returns to this point.
-        if (inst.op == Opcode::Call && inst.callee.valid() &&
-                item.ctx.size() < budget_.maxStack) {
-            const Function &callee = module_.func(inst.callee);
-            for (const BlockId bid : callee.blocks) {
-                const BasicBlock &bb = module_.block(bid);
-                if (bb.insts.empty())
-                    continue;
-                const Instruction &term = module_.inst(bb.insts.back());
-                if (term.op == Opcode::Ret) {
-                    auto ctx = item.ctx;
-                    ctx.push_back(item.inst);
-                    if (ctx.size() > w.cfgStats.peakCtxDepth)
-                        w.cfgStats.peakCtxDepth = ctx.size();
-                    enqueue(bb.insts.back(), std::move(ctx));
-                }
-            }
-        }
-
-        const BasicBlock &bb = module_.block(inst.parent);
-        const std::size_t pos = instIndex_.positionInBlock(item.inst);
-        if (pos > 0) {
-            enqueue(bb.insts[pos - 1], item.ctx);
-            continue;
-        }
-
-        const Cfg &cfg = cfgOf(bb.func);
-        for (const BlockId pred : cfg.preds(inst.parent)) {
-            const BasicBlock &pb = module_.block(pred);
-            if (!pb.insts.empty())
-                enqueue(pb.insts.back(), item.ctx);
-        }
-
-        // At the function entry: return to the call site we descended
-        // from (never ascending past the starting frame; see the fast
-        // variant for why).
-        const Function &fn = module_.func(bb.func);
-        if (inst.parent == fn.entry() && !item.ctx.empty()) {
-            auto ctx = item.ctx;
-            const InstId ret_site = ctx.back();
-            ctx.pop_back();
-            enqueue(ret_site, std::move(ctx));
-        }
-    }
-    w.cfgStats.steps += steps;
-    return types;
-}
-
 void
 FlowRefinement::buildFlatHints(WalkStats &stats)
 {
@@ -287,8 +188,8 @@ FlowRefinement::buildFlatHints(WalkStats &stats)
     // pass is deterministic regardless of MANTA_JOBS, and the fresh
     // closures it publishes seed the store for the walk waves.
     TypeTable &tt = module_.types();
-    Worker w(ddg_, &env_, tt, budget_, engine_);
-    w.walker.attachSharedSummaries(summaries_);
+    Worker w(ddg_, &env_, tt, budget_);
+    w.walker.attachSharedSummaries(&summaries_);
     const std::size_t ni = module_.numInsts();
     flat_.instSpan.assign(ni, {0, 0});
     // Hint values repeat across sites; flatten each closure once.
@@ -318,14 +219,14 @@ FlowRefinement::buildFlatHints(WalkStats &stats)
     }
     stats.merge(w.walker.stats());
     FnSummaryStore::Delta delta;
-    w.walker.harvestSummaries(delta, *schedule_);
-    summaries_->publish(std::move(delta));
+    w.walker.harvestSummaries(delta, schedule_);
+    summaries_.publish(std::move(delta));
 }
 
 void
 FlowRefinement::buildFlatCfg()
 {
-    // Flatten the backward-step relation (see reachableTypesFast) into
+    // Flatten the backward-step relation (see reachableTypes) into
     // the tagged adjacency, emitting entries in the interpreted push
     // order so walk DFS order - and the truncation point of budget-
     // limited walks - is preserved exactly.
@@ -380,8 +281,8 @@ FlowRefinement::reachableTypesFlat(Worker &w, InstId site)
     std::vector<TypeRef> types;
     w.visited.ensure(site.raw() + 1);
     w.visited.newEpoch();
-    std::vector<FastItem> work;
-    work.push_back(FastItem{site.raw(), CtxInterner::kEmpty});
+    std::vector<WalkItem> work;
+    work.push_back(WalkItem{site.raw(), CtxInterner::kEmpty});
     w.visited.insert(site.raw(), CtxInterner::kNoSite);
 
     std::size_t steps = 0;
@@ -390,7 +291,7 @@ FlowRefinement::reachableTypesFlat(Worker &w, InstId site)
             ++w.cfgStats.truncated;
             break;
         }
-        const FastItem item = work.back();
+        const WalkItem item = work.back();
         work.pop_back();
 
         // Annotation check against the flattened hint index: the exact
@@ -419,7 +320,7 @@ FlowRefinement::reachableTypesFlat(Worker &w, InstId site)
             if (tag == FlatCfg::kStep) {
                 w.visited.ensure(target + 1);
                 if (w.visited.insert(target, cur_top))
-                    work.push_back(FastItem{target, item.ctx});
+                    work.push_back(WalkItem{target, item.ctx});
             } else if (tag == FlatCfg::kCall) {
                 if (w.ctx.depth(item.ctx) >= budget_.maxStack)
                     continue;
@@ -429,13 +330,13 @@ FlowRefinement::reachableTypesFlat(Worker &w, InstId site)
                     w.cfgStats.peakCtxDepth = w.ctx.depth(ctx);
                 w.visited.ensure(target + 1);
                 if (w.visited.insert(target, item.inst))
-                    work.push_back(FastItem{target, ctx});
+                    work.push_back(WalkItem{target, ctx});
             } else if (item.ctx != CtxInterner::kEmpty) {
                 // Ascend to the call site we descended from.
                 const std::uint32_t up = w.ctx.pop(item.ctx);
                 w.visited.ensure(cur_top + 1);
                 if (w.visited.insert(cur_top, w.ctx.top(up)))
-                    work.push_back(FastItem{cur_top, up});
+                    work.push_back(WalkItem{cur_top, up});
             }
         }
     }
@@ -473,12 +374,8 @@ FlowRefinement::processCandidate(Worker &w, ValueId v, CandidateOut &out)
 
     out.siteTypes.reserve(out.sites.size());
     for (const InstId s : out.sites) {
-        if (engine_ != WalkEngine::Fast)
-            out.siteTypes.push_back(reachableTypesRef(w, s));
-        else if (flatReady_)
-            out.siteTypes.push_back(reachableTypesFlat(w, s));
-        else
-            out.siteTypes.push_back(reachableTypesFast(w, s));
+        out.siteTypes.push_back(flatReady_ ? reachableTypesFlat(w, s)
+                                           : reachableTypes(w, s));
     }
 }
 
@@ -493,7 +390,7 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
     // Phase 0: site enumeration (cheap, module-derived) and memo
     // consult. Hits skip the walk phase; their cached per-site bounds
     // line up positionally with the regenerated site list.
-    const bool use_memo = memo_ != nullptr && engine_ == WalkEngine::Fast;
+    const bool use_memo = memo_ != nullptr;
     for (std::size_t i = 0; i < n; ++i)
         candidateSites(candidates[i], collected[i]);
     std::vector<FlowCached> cached(use_memo ? n : 0);
@@ -519,22 +416,10 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
     std::vector<std::vector<std::uint32_t>> touched(use_memo ? m : 0);
     std::vector<char> poisoned(m, 0);
 
-    auto walkOne = [&](Worker &w, std::size_t k) {
-        if (use_memo)
-            w.walker.beginCandidate();
-        processCandidate(w, candidates[misses[k]], collected[misses[k]]);
-        if (use_memo) {
-            touched[k] = w.walker.candidateTouched();
-            poisoned[k] = w.walker.candidatePoisoned() ? 1 : 0;
-        }
-    };
-
     // Phase 1: traversal, reading only frozen state.
-    const bool modular = schedule_ != nullptr && summaries_ != nullptr &&
-                         engine_ == WalkEngine::Fast;
-    if (modular && m > 0) {
-        // Bottom-up SCC waves over the shared summary store; see
-        // refine_ctx.cc for the publication protocol.
+    if (m > 0) {
+        // Build every per-function CFG up front; the lazy cache would
+        // be a write from multiple workers.
         for (std::size_t f = 0; f < module_.numFuncs(); ++f)
             cfgOf(FuncId(static_cast<FuncId::RawType>(f)));
         // Touch capture needs the per-hint rootsOf() calls to record
@@ -547,88 +432,25 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
             buildFlatHints(result.walk);
             buildFlatCfg();
         }
-        const auto waves = schedule_->plan(candidates, misses, kChunk);
-        // As in refine_ctx.cc: Workers carry module-sized epoch scratch,
-        // so a freelist recycles them across packs and waves instead of
-        // constructing one per pack. Harvest drains the memo and every
-        // visited/root mark is epoch-stamped, so reuse cannot change a
-        // walk's answer or its expansion order.
-        std::vector<std::unique_ptr<Worker>> pool_store;
-        std::vector<Worker *> idle;
-        std::mutex pool_mu;
-        auto acquire = [&]() -> Worker * {
-            std::lock_guard<std::mutex> lock(pool_mu);
-            if (!idle.empty()) {
-                Worker *w = idle.back();
-                idle.pop_back();
-                return w;
-            }
-            pool_store.push_back(std::make_unique<Worker>(
-                ddg_, &env_, tt, budget_, engine_));
-            Worker *w = pool_store.back().get();
-            w->walker.attachSharedSummaries(summaries_);
-            if (use_memo)
-                w->walker.enableTouchCapture(owners, owners_count);
-            return w;
-        };
-        auto release = [&](Worker *w) {
-            std::lock_guard<std::mutex> lock(pool_mu);
-            idle.push_back(w);
-        };
-        for (const auto &wave : waves) {
-            const std::size_t np = wave.packs.size();
-            std::vector<WalkStats> stats(np);
-            std::vector<FnSummaryStore::Delta> deltas(np);
-            auto runPack = [&](std::size_t p) {
-                Worker *w = acquire();
-                w->walker.resetStats();
-                w->cfgStats = WalkStats{};
-                for (const std::size_t k : wave.packs[p].ks)
-                    walkOne(*w, k);
-                stats[p] = w->walker.stats();
-                stats[p].merge(w->cfgStats);
-                w->walker.harvestSummaries(deltas[p], *schedule_);
-                release(w);
-            };
-            if (parallel_ && np > 1) {
-                sharedPool().parallelFor(np, runPack);
-            } else {
-                for (std::size_t p = 0; p < np; ++p)
-                    runPack(p);
-            }
-            for (std::size_t p = 0; p < np; ++p) {
-                result.walk.merge(stats[p]);
-                summaries_->publish(std::move(deltas[p]));
-            }
-        }
-    } else if (parallel_ && engine_ == WalkEngine::Fast && m > 1) {
-        // Build every per-function CFG up front; the lazy cache would
-        // be a write from multiple workers.
-        for (std::size_t f = 0; f < module_.numFuncs(); ++f)
-            cfgOf(FuncId(static_cast<FuncId::RawType>(f)));
-        const std::size_t chunks = (m + kChunk - 1) / kChunk;
-        std::vector<WalkStats> stats(chunks);
-        sharedPool().parallelFor(chunks, [&](std::size_t c) {
-            Worker w(ddg_, &env_, tt, budget_, engine_);
-            if (use_memo)
-                w.walker.enableTouchCapture(owners, owners_count);
-            const std::size_t hi = std::min(m, (c + 1) * kChunk);
-            for (std::size_t k = c * kChunk; k < hi; ++k)
-                walkOne(w, k);
-            stats[c] = w.walker.stats();
-            stats[c].merge(w.cfgStats);
-        });
-        for (const WalkStats &s : stats)
-            result.walk.merge(s);
-    } else if (m > 0) {
-        Worker w(ddg_, &env_, tt, budget_, engine_);
-        if (use_memo)
-            w.walker.enableTouchCapture(owners, owners_count);
-        for (std::size_t k = 0; k < m; ++k)
-            walkOne(w, k);
-        result.walk = w.walker.stats();
-        result.walk.merge(w.cfgStats);
     }
+    auto make = [&]() {
+        auto w = std::make_unique<Worker>(ddg_, &env_, tt, budget_);
+        w->walker.attachSharedSummaries(&summaries_);
+        if (use_memo)
+            w->walker.enableTouchCapture(owners, owners_count);
+        return w;
+    };
+    auto walk = [&](Worker &w, std::size_t k) {
+        if (use_memo)
+            w.walker.beginCandidate();
+        processCandidate(w, candidates[misses[k]], collected[misses[k]]);
+        if (use_memo) {
+            touched[k] = w.walker.candidateTouched();
+            poisoned[k] = w.walker.candidatePoisoned() ? 1 : 0;
+        }
+    };
+    result.walk.merge(runWalkWaves<Worker>(schedule_, summaries_, candidates,
+                                           misses, make, walk));
 
     // Phase 2: merge, sequentially in candidate/site order (join/meet
     // intern new type nodes; interning order defines TypeRef ids).

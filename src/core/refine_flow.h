@@ -11,19 +11,15 @@
  * annotations becomes unknown - the deliberate aggression the paper
  * discusses in Section 6.4 (Type Refinement Order).
  *
- * Like the context stage, this runs as a read-only walk phase (which
- * can be chunked across the shared pool; each worker owns a DdgWalker
- * for the alias-root queries plus interned-context/epoch scratch for
- * the CFG walks) followed by a sequential merge phase that performs
- * the joins in candidate/site order. Chunks are fixed-size, so the
- * result and the walk statistics are independent of MANTA_JOBS.
- *
- * With a ModularSchedule + FnSummaryStore attached the walk phase runs
- * as bottom-up SCC waves (see core/refine_ctx.h — the protocol is
- * identical); the alias-root closures the CFG walks depend on are then
- * shared across packs and with the context stage instead of being
- * recomputed per worker. The merge phase is untouched, so site and
- * variable bounds are bit-identical to the whole-program path.
+ * Like the context stage, this runs as a read-only walk phase
+ * (bottom-up SCC waves over the shared summary store,
+ * core/wave_walk.h; each worker owns a DdgWalker for the alias-root
+ * queries plus interned-context/epoch scratch for the CFG walks)
+ * followed by a sequential merge phase that performs the joins in
+ * candidate/site order. The alias-root closures the CFG walks depend
+ * on are shared across packs and with the context stage, and site and
+ * variable bounds equal the one-worklist reference
+ * (reference/refine_ref.h) bound for bound.
  */
 #ifndef MANTA_CORE_REFINE_FLOW_H
 #define MANTA_CORE_REFINE_FLOW_H
@@ -95,8 +91,8 @@ class FlowRefinement
   public:
     /**
      * Modules below this instruction count skip the flattened
-     * hint/CFG indexes in the modular batch walk phase: flattening is
-     * a whole-module pass, and on tiny modules its setup cost exceeds
+     * hint/CFG indexes in the batch (memo-less) walk phase: flattening
+     * is a whole-module pass, and on tiny modules its setup cost exceeds
      * everything the flat hot loop saves (the interpreted walk answers
      * with identical site types either way). The threshold is pinned
      * by tests/test_modular.cc.
@@ -110,12 +106,11 @@ class FlowRefinement
         return module.numInsts() >= kFlatIndexMinInsts;
     }
 
+    /** Parameters as for CtxRefinement (core/refine_ctx.h). */
     FlowRefinement(Module &module, const Ddg &ddg, const HintIndex &hints,
-                   TypeEnv &env, WalkBudget budget = {},
-                   WalkEngine engine = defaultWalkEngine(),
-                   bool parallel = false, RefineMemo *memo = nullptr,
-                   const ModularSchedule *schedule = nullptr,
-                   FnSummaryStore *summaries = nullptr);
+                   TypeEnv &env, const ModularSchedule &schedule,
+                   FnSummaryStore &summaries, WalkBudget budget = {},
+                   RefineMemo *memo = nullptr);
 
     /** Refine every variable in `candidates` (Algorithm 2). */
     FlowRefineResult run(const std::vector<ValueId> &candidates);
@@ -147,15 +142,14 @@ class FlowRefinement
     void processCandidate(Worker &w, ValueId v, CandidateOut &out);
 
     /** REACHABLE_TYPES: backward CFG walk from `site`. */
-    std::vector<TypeRef> reachableTypesFast(Worker &w, InstId site);
-    std::vector<TypeRef> reachableTypesRef(Worker &w, InstId site);
+    std::vector<TypeRef> reachableTypes(Worker &w, InstId site);
 
     const Cfg &cfgOf(FuncId func);
 
     /**
-     * Candidate-independent flattened hint index for the modular walk
-     * phase: for every instruction, the alias-root closure of each of
-     * its hints, pooled into flat arrays. rootsOf(hint.value) depends
+     * Candidate-independent flattened hint index for the walk phase:
+     * for every instruction, the alias-root closure of each of its
+     * hints, pooled into flat arrays. rootsOf(hint.value) depends
      * only on frozen state, so flattening it once per stage (instead of
      * probing the walker memo per hint on every one of the hundreds of
      * millions of CFG-walk steps) answers the annotation check with the
@@ -183,12 +177,12 @@ class FlowRefinement
 
     /**
      * The backward-step relation of REACHABLE_TYPES flattened into a
-     * tagged CSR adjacency (modular walk phase). Entries are emitted in
-     * exactly the order the interpreted walk pushes work items - call
-     * descents, then the in-block predecessor (which suppresses the
-     * rest) or block predecessors plus the caller ascent - so the DFS
-     * order, and therefore the budget-truncation point of every walk,
-     * is unchanged. Only dynamic checks (stack depth, empty context)
+     * tagged CSR adjacency. Entries are emitted in exactly the order
+     * the interpreted walk pushes work items - call descents, then the
+     * in-block predecessor (which suppresses the rest) or block
+     * predecessors plus the caller ascent - so the DFS order, and
+     * therefore the budget-truncation point of every walk, is
+     * unchanged. Only dynamic checks (stack depth, empty context)
      * stay in the hot loop.
      */
     struct FlatCfg
@@ -214,21 +208,15 @@ class FlowRefinement
     const Ddg &ddg_;
     const HintIndex &hints_;
     TypeEnv &env_;
+    const ModularSchedule &schedule_;
+    FnSummaryStore &summaries_;
     WalkBudget budget_;
-    WalkEngine engine_;
-    bool parallel_;
     RefineMemo *memo_;
-    const ModularSchedule *schedule_;
-    FnSummaryStore *summaries_;
     InstIndex instIndex_;
     std::unordered_map<std::uint32_t, Cfg> cfg_cache_;
     FlatHints flat_;
     FlatCfg fcfg_;
     bool flatReady_ = false;
-
-    /** Candidate chunk size; fixed so results and statistics do not
-     *  depend on the worker count. */
-    static constexpr std::size_t kChunk = 128;
 };
 
 } // namespace manta

@@ -14,6 +14,8 @@
 #include "mir/serialize.h"
 #include "mir/printer.h"
 #include "mir/verifier.h"
+#include "reference/refine_ref.h"
+#include "reference/taint_ref.h"
 #include "serve/session.h"
 #include "taint/taint.h"
 
@@ -33,7 +35,6 @@ oracleName(OracleId id)
     case OracleId::LintStable: return "lint_stable";
     case OracleId::WalkDiff: return "walk_diff";
     case OracleId::SnapshotRoundTrip: return "snapshot_roundtrip";
-    case OracleId::SummaryDiff: return "summary_diff";
     case OracleId::EngineDiff: return "engine_diff";
     case OracleId::TaintStable: return "taint_stable";
     }
@@ -511,147 +512,33 @@ checkSnapshotRoundTrip(const Module &m, Battery &b)
 }
 
 /**
- * Oracle 8: the fast refinement walker (interned contexts, epoch
- * scratch, memoized summaries, batched parallel queries) is a pure
- * optimization of the reference walker. Run the full pipeline once
- * per engine on shared substrates and require bit-identical refined
- * bounds - every variable-level and site-level overlay entry, by
- * TypeRef id. The fast run uses walkParallel, so this also exercises
- * the chunked pool path (including under TSan in the fuzz smokes).
+ * Oracle 8: walk_diff. Production refinement (the fast walker on
+ * bottom-up SCC waves over the shared summary store, flattened
+ * hint/CFG indexes, packs on the task pool) is a pure optimization of
+ * the sequential reference (reference/refine_ref.h). Require identical
+ * value and site overlays, by TypeRef id, between the full pipeline
+ * and the reference on shared substrates - and require that the
+ * production run actually condensed the callgraph (a trivial schedule
+ * would pass vacuously). The pool path also runs under TSan in the
+ * fuzz smokes.
  */
 void
-checkWalkDiff(Module &m, MantaAnalyzer &an, Battery &b)
+checkWalkDiff(MantaAnalyzer &an, const InferenceResult &full, Battery &b)
 {
     b.ran(OracleId::WalkDiff);
-
-    HybridConfig fast_cfg = HybridConfig::full();
-    fast_cfg.walkEngine = WalkEngine::Fast;
-    fast_cfg.walkParallel = true;
-    HybridConfig ref_cfg = HybridConfig::full();
-    ref_cfg.walkEngine = WalkEngine::Reference;
-
-    const InferenceResult fast = an.infer(fast_cfg);
-    const InferenceResult ref = an.infer(ref_cfg);
-
-    if (fast.overlay().size() != ref.overlay().size()) {
+    if (full.profile().sccCount == 0)
         b.fail(OracleId::WalkDiff,
-               "value overlay sizes differ (fast " +
-                   std::to_string(fast.overlay().size()) + ", reference " +
-                   std::to_string(ref.overlay().size()) + ")");
-    }
-    for (const auto &[v, rbp] : ref.overlay()) {
-        const auto it = fast.overlay().find(v);
-        if (it == fast.overlay().end()) {
-            b.fail(OracleId::WalkDiff,
-                   "fast engine missed refinement of " + printValueRef(m, v));
-            continue;
-        }
-        if (it->second.upper != rbp.upper || it->second.lower != rbp.lower) {
-            b.fail(OracleId::WalkDiff,
-                   "engines disagree on " + printValueRef(m, v) + ": fast " +
-                       m.types().toString(it->second.upper) +
-                       " vs reference " + m.types().toString(rbp.upper));
-        }
-    }
-
-    if (fast.siteOverlay().size() != ref.siteOverlay().size()) {
+               "production run reports no SCC condensation");
+    const std::string diff =
+        diffOverlays(full, referenceInfer(an, HybridConfig::full()));
+    if (!diff.empty()) {
         b.fail(OracleId::WalkDiff,
-               "site overlay sizes differ (fast " +
-                   std::to_string(fast.siteOverlay().size()) +
-                   ", reference " +
-                   std::to_string(ref.siteOverlay().size()) + ")");
-    }
-    for (const auto &[sv, rbp] : ref.siteOverlay()) {
-        const auto it = fast.siteOverlay().find(sv);
-        if (it == fast.siteOverlay().end()) {
-            b.fail(OracleId::WalkDiff,
-                   "fast engine missed site refinement of " +
-                       printValueRef(m, sv.value));
-            continue;
-        }
-        if (it->second.upper != rbp.upper || it->second.lower != rbp.lower) {
-            b.fail(OracleId::WalkDiff,
-                   "engines disagree at a site of " +
-                       printValueRef(m, sv.value));
-        }
+               "production and reference refinement disagree: " + diff);
     }
 }
 
 /**
- * summary_diff: the modular bottom-up scheduler must be a pure
- * performance optimization of the whole-program schedule. Run the full
- * pipeline once per ScheduleMode and require bit-identical refined
- * bounds - every variable-level and site-level overlay entry, by
- * TypeRef id - while the modular run must actually have condensed the
- * callgraph (a trivial schedule would vacuously pass).
- */
-void
-checkSummaryDiff(Module &m, MantaAnalyzer &an, Battery &b)
-{
-    b.ran(OracleId::SummaryDiff);
-
-    HybridConfig modular_cfg = HybridConfig::full();
-    modular_cfg.scheduleMode = ScheduleMode::ModularBottomUp;
-    HybridConfig wp_cfg = HybridConfig::full();
-    wp_cfg.scheduleMode = ScheduleMode::WholeProgram;
-
-    const InferenceResult modular = an.infer(modular_cfg);
-    const InferenceResult wp = an.infer(wp_cfg);
-
-    if (modular.profile().sccCount == 0) {
-        b.fail(OracleId::SummaryDiff,
-               "modular run reports no SCC condensation");
-    }
-
-    if (modular.overlay().size() != wp.overlay().size()) {
-        b.fail(OracleId::SummaryDiff,
-               "value overlay sizes differ (modular " +
-                   std::to_string(modular.overlay().size()) +
-                   ", whole-program " +
-                   std::to_string(wp.overlay().size()) + ")");
-    }
-    for (const auto &[v, rbp] : wp.overlay()) {
-        const auto it = modular.overlay().find(v);
-        if (it == modular.overlay().end()) {
-            b.fail(OracleId::SummaryDiff,
-                   "modular schedule missed refinement of " +
-                       printValueRef(m, v));
-            continue;
-        }
-        if (it->second.upper != rbp.upper || it->second.lower != rbp.lower) {
-            b.fail(OracleId::SummaryDiff,
-                   "schedules disagree on " + printValueRef(m, v) +
-                       ": modular " +
-                       m.types().toString(it->second.upper) +
-                       " vs whole-program " + m.types().toString(rbp.upper));
-        }
-    }
-
-    if (modular.siteOverlay().size() != wp.siteOverlay().size()) {
-        b.fail(OracleId::SummaryDiff,
-               "site overlay sizes differ (modular " +
-                   std::to_string(modular.siteOverlay().size()) +
-                   ", whole-program " +
-                   std::to_string(wp.siteOverlay().size()) + ")");
-    }
-    for (const auto &[sv, rbp] : wp.siteOverlay()) {
-        const auto it = modular.siteOverlay().find(sv);
-        if (it == modular.siteOverlay().end()) {
-            b.fail(OracleId::SummaryDiff,
-                   "modular schedule missed site refinement of " +
-                       printValueRef(m, sv.value));
-            continue;
-        }
-        if (it->second.upper != rbp.upper || it->second.lower != rbp.lower) {
-            b.fail(OracleId::SummaryDiff,
-                   "schedules disagree at a site of " +
-                       printValueRef(m, sv.value));
-        }
-    }
-}
-
-/**
- * Oracle 11: engine_diff. The polymorphic subtyping core is a
+ * Oracle 10: engine_diff. The polymorphic subtyping core is a
  * precision-or-equal sibling of the unification core, never an unsound
  * one. Run both engines FI-only on shared substrates and require, for
  * every variable, that the subtype interval nests inside the unifier's:
@@ -741,7 +628,7 @@ checkEngineDiff(Module &m, MantaAnalyzer &an, const GroundTruth *truth,
     }
 }
 
-/** Pinned options: oracle 12 must not wobble with MANTA_TAINT*. */
+/** Pinned options: oracle 11 must not wobble with MANTA_TAINT*. */
 taint::TaintOptions
 pinnedTaintOptions()
 {
@@ -749,12 +636,11 @@ pinnedTaintOptions()
     opts.useTypes = true;
     opts.sanitizers = true;
     opts.maxFactsPerValue = 256;
-    opts.mode = ScheduleMode::ModularBottomUp;
     return opts;
 }
 
 /**
- * Oracle 12, roundtrip half: the taint artifact is invariant under a
+ * Oracle 11, roundtrip half: the taint artifact is invariant under a
  * print/parse roundtrip. Runs on the PRE-acyclic module (like
  * lint_stable) — the acyclic transform's @__recursion_stub callees
  * are not printable MIR, so the printed text of a post-acyclic module
@@ -794,24 +680,26 @@ checkTaintRoundtrip(const Module &m, Battery &b)
 }
 
 /**
- * Oracle 12, schedule half: the taint engine's canonical artifact is
- * bit-identical between the ModularBottomUp and WholeProgram
- * schedules on the analyzed (post-acyclic) module.
+ * Oracle 11, schedule half: the taint engine's fact table on the
+ * analyzed (post-acyclic) module equals the one-worklist reference
+ * fixpoint (reference/taint_ref.h) value for value. Flows and summary
+ * return facts are derived from that table, so canonicalText follows.
  */
 void
-checkTaintStable(Module &m, MantaAnalyzer &an, const InferenceResult &full,
+checkTaintStable(MantaAnalyzer &an, const InferenceResult &full,
                  Battery &b)
 {
-    taint::TaintOptions opts = pinnedTaintOptions();
-    const taint::TaintResult modular = taint::runTaint(an, &full, opts);
-    opts.mode = ScheduleMode::WholeProgram;
-    const taint::TaintResult wp = taint::runTaint(an, &full, opts);
-    const std::string canon = modular.canonicalText(m);
-    if (canon != wp.canonicalText(m)) {
-        b.fail(OracleId::TaintStable,
-               "modular and whole-program taint artifacts differ (" +
-                   std::to_string(canon.size()) + " vs " +
-                   std::to_string(wp.canonicalText(m).size()) + " bytes)");
+    const taint::TaintOptions opts = pinnedTaintOptions();
+    const taint::TaintResult result = taint::runTaint(an, &full, opts);
+    const std::vector<taint::FactSet> ref =
+        referenceTaintFacts(an, &full, opts);
+    for (std::size_t v = 0; v < ref.size(); ++v) {
+        if (v >= result.facts.size() || result.facts[v] != ref[v]) {
+            b.fail(OracleId::TaintStable,
+                   "taint facts of value " + std::to_string(v) +
+                       " differ from the reference fixpoint");
+            return;
+        }
     }
 }
 
@@ -867,11 +755,10 @@ runCase(const FuzzCase &c)
     MantaAnalyzer an(m, HybridConfig::full());
     const InferenceResult full = an.infer();
     checkMonotonic(m, an, full, b);
-    checkWalkDiff(m, an, b);
-    checkSummaryDiff(m, an, b);
+    checkWalkDiff(an, full, b);
     checkEngineDiff(m, an, prog.hasTruth ? &prog.truth : nullptr, c.strict,
                     b);
-    checkTaintStable(m, an, full, b);
+    checkTaintStable(an, full, b);
 
     if (prog.hasTruth)
         checkGroundTruth(m, prog.truth, full, c.strict, b);
@@ -922,10 +809,9 @@ runTextOracles(const std::string &text)
     MantaAnalyzer an(m, HybridConfig::full());
     const InferenceResult full = an.infer();
     checkMonotonic(m, an, full, b);
-    checkWalkDiff(m, an, b);
-    checkSummaryDiff(m, an, b);
+    checkWalkDiff(an, full, b);
     checkEngineDiff(m, an, nullptr, false, b);
-    checkTaintStable(m, an, full, b);
+    checkTaintStable(an, full, b);
     return r;
 }
 
@@ -991,11 +877,7 @@ textFailsOracle(const std::string &text, OracleId which)
         return b.failed(which);
     }
     if (which == OracleId::WalkDiff) {
-        checkWalkDiff(m, an, b);
-        return b.failed(which);
-    }
-    if (which == OracleId::SummaryDiff) {
-        checkSummaryDiff(m, an, b);
+        checkWalkDiff(an, full, b);
         return b.failed(which);
     }
     if (which == OracleId::EngineDiff) {
@@ -1003,7 +885,7 @@ textFailsOracle(const std::string &text, OracleId which)
         return b.failed(which);
     }
     if (which == OracleId::TaintStable) {
-        checkTaintStable(m, an, full, b);
+        checkTaintStable(an, full, b);
         return b.failed(which);
     }
     // Interp: the truth-free static half (typed derefs + icall

@@ -3,7 +3,7 @@
  * The metamorphic oracle battery of the differential fuzzing harness.
  *
  * Every sampled case is pushed through the whole pipeline and checked
- * against twelve properties that must hold for ANY generated program:
+ * against eleven properties that must hold for ANY generated program:
  *
  *  1. verifier    - the generator and the synthesizer only produce
  *                   well-formed MIR, before and after acyclic
@@ -19,8 +19,9 @@
  *                   noise disabled) the full pipeline never contradicts
  *                   the erased truth.
  *  5. pts_diff    - the sparse worklist and dense reference points-to
- *                   solvers agree location-for-location (the
- *                   MANTA_PTS_DENSE path).
+ *                   solvers agree location-for-location
+ *                   (PtsSolver::Dense, constructed only here and in
+ *                   tests).
  *  6. interp      - a concrete run is consistent with static verdicts:
  *                   bug-free programs raise no memory-safety events,
  *                   no value inferred precisely numeric is dereferenced,
@@ -31,23 +32,20 @@
  *                   under a print/parse roundtrip: linting the reparsed
  *                   module and linting its second-generation reparse
  *                   render to identical text reports.
- *  8. walk_diff   - the fast traversal engine (interned contexts,
- *                   epoch scratch, memoized summaries, batched
- *                   parallel queries) and the reference walker
- *                   (MANTA_WALK_REF=1) produce bit-identical refined
- *                   bounds, variable- and site-level.
+ *  8. walk_diff   - production refinement (fast walker, bottom-up
+ *                   SCC waves over the shared summary store,
+ *                   flattened hint/CFG indexes, parallel packs) and
+ *                   the sequential reference (reference/refine_ref.h)
+ *                   produce identical refined bounds, variable- and
+ *                   site-level, and the production run condensed the
+ *                   callgraph into at least one SCC.
  *  9. snapshot_roundtrip
  *                 - a serve-layer session snapshot (docs/SERVING.md)
  *                   restores into a fresh session whose rendered
  *                   types/lint/icall artifacts are byte-identical to
  *                   the saving session's, and a corrupted snapshot is
  *                   rejected with a clean cold fallback.
- * 10. summary_diff- the modular bottom-up scheduler (SCC waves over a
- *                   shared FnSummaryStore, flattened hint/CFG indexes;
- *                   the default) and the whole-program path
- *                   (MANTA_WP=1) produce bit-identical refined bounds,
- *                   variable- and site-level.
- * 11. engine_diff - the polymorphic subtyping core (MANTA_INFER=subtype)
+ * 10. engine_diff - the polymorphic subtyping core (MANTA_INFER=subtype)
  *                   agrees with the unification core at FI: on every
  *                   variable both engines solved, the subtype interval
  *                   nests inside the unifier's ([F-down, F-up] is no
@@ -56,15 +54,15 @@
  *                   more precise but never invents evidence. On strict
  *                   cases the subtype full pipeline must additionally
  *                   never contradict the erased ground truth.
- * 12. taint_stable- the interprocedural taint engine's canonical
- *                   artifact (flows, per-function summaries,
- *                   fixpoint counters) is bit-identical between the
- *                   ModularBottomUp and WholeProgram schedules and
- *                   invariant under a print/parse roundtrip. Together
- *                   with the sequentiality of the WholeProgram path
- *                   this pins the verdicts across MANTA_JOBS too.
+ * 11. taint_stable- the interprocedural taint engine's fact table
+ *                   equals the one-worklist reference fixpoint
+ *                   (reference/taint_ref.h), and its canonical
+ *                   artifact (flows, per-function summaries, fixpoint
+ *                   counters) is invariant under a print/parse
+ *                   roundtrip. The reference is sequential, so this
+ *                   pins the verdicts across MANTA_JOBS too.
  *
- * Truth-free oracles (1, 2, 3, 5, 7, 8, 9, 10, 11, 12, and the
+ * Truth-free oracles (1, 2, 3, 5, 7, 8, 9, 10, 11, and the
  * truth-free parts of 6) can also run over parsed module text, which
  * is what the delta-debugging shrinker and the promoted-reproducer
  * regression tests use.
@@ -82,7 +80,7 @@
 namespace manta {
 namespace fuzz {
 
-/** The twelve oracles, in the order reported by BENCH_fuzz.json. */
+/** The eleven oracles, in the order reported by BENCH_fuzz.json. */
 enum class OracleId : std::uint8_t {
     Verifier = 0,
     RoundTrip,
@@ -93,12 +91,11 @@ enum class OracleId : std::uint8_t {
     LintStable,
     WalkDiff,
     SnapshotRoundTrip,
-    SummaryDiff,
     EngineDiff,
     TaintStable,
 };
 
-constexpr std::size_t kNumOracles = 12;
+constexpr std::size_t kNumOracles = 11;
 
 /** Stable snake_case oracle name (JSON keys, reproducer headers). */
 const char *oracleName(OracleId id);

@@ -2,9 +2,9 @@
  * @file
  * Environment-knob parsing shared by every MANTA_* override.
  *
- * Each knob's cached default-reader (defaultScheduleMode, defaultJobs,
- * defaultWalkEngine, PointsTo::defaultSolver, defaultInferEngine) is a
- * thin wrapper over one of these pure helpers, so the parsing rules -
+ * Each knob's cached default-reader (defaultJobs, defaultInferEngine,
+ * the MANTA_TAINT* readers, the chaos flags) is a thin wrapper over
+ * one of these pure helpers, so the parsing rules -
  * including the invalid-value warnings - are table-testable without
  * mutating the process environment.
  */
@@ -16,8 +16,8 @@
 namespace manta {
 
 /**
- * Boolean-flag rule shared by MANTA_WP / MANTA_WALK_REF /
- * MANTA_PTS_DENSE: set and non-empty and not exactly "0" means on.
+ * Boolean-flag rule shared by MANTA_TAINT_NOTYPE and the chaos
+ * switches: set and non-empty and not exactly "0" means on.
  * A null pointer (unset variable) is off.
  */
 bool envFlagTruthy(const char *value);

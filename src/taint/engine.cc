@@ -2,18 +2,19 @@
  * @file
  * The taint propagation engine (see taint/taint.h for the contract).
  *
- * Both schedules evaluate the same monotone equation system over the
- * capped-union fact semilattice, so they share one least fixpoint:
+ * The engine evaluates a monotone equation system over the
+ * capped-union fact semilattice, whose least fixpoint is unique:
  *
  *   facts(v) ⊇ seeds(v)
  *   facts(v) ⊇ outflow(u)    for every allowed DDG edge u -> v
  *
  * where outflow(u) is facts(u), emptied by the numeric barrier except
- * for facts introduced at u itself. The modular path only changes HOW
- * the fixpoint is reached: bottom-up SCC waves with per-function
+ * for facts introduced at u itself. The schedule only changes HOW the
+ * fixpoint is reached: bottom-up SCC waves with per-function
  * paramToRet summaries instantiated as call-site shortcut edges
  * (pure acceleration — every shortcut flow is a consequence of the
- * base system), then a sequential cross-SCC drain.
+ * base system), then a sequential cross-SCC drain. The plain one-
+ * worklist evaluation lives in reference/taint_ref.h as the check.
  */
 #include <algorithm>
 #include <deque>
@@ -76,10 +77,7 @@ class Engine
         Timer timer;
         TaintResult result;
         prepare();
-        if (options_.mode == ScheduleMode::WholeProgram)
-            runWholeProgram();
-        else
-            runModular();
+        runModular();
         finalize(result);
         result.stats.seconds = timer.seconds();
         return result;
@@ -148,53 +146,6 @@ class Engine
                               seed_at_[u].begin(), seed_at_[u].end(),
                               std::back_inserter(own));
         return own;
-    }
-
-    // ---- Whole-program evaluation ---------------------------------
-
-    void
-    runWholeProgram()
-    {
-        std::deque<std::uint32_t> worklist;
-        std::vector<char> queued(module_.numValues(), 0);
-        for (const SourceSeed &seed : seeds_) {
-            if (!queued[seed.value.index()]) {
-                queued[seed.value.index()] = 1;
-                worklist.push_back(seed.value.raw());
-            }
-        }
-        while (!worklist.empty()) {
-            const std::uint32_t u = worklist.front();
-            worklist.pop_front();
-            queued[u] = 0;
-            const FactSet out = outflow(u);
-            if (out.empty())
-                continue;
-            for (std::uint32_t e : ddg_.outEdges(ValueId(u))) {
-                if (!edge_allowed_[e])
-                    continue;
-                const std::uint32_t v = ddg_.edge(e).to.raw();
-                if (joinFacts(facts_[v], out, options_.maxFactsPerValue) &&
-                    !queued[v]) {
-                    queued[v] = 1;
-                    worklist.push_back(v);
-                }
-            }
-        }
-        // Summaries use the same per-SCC mask routine as the modular
-        // path, published bottom-up sequentially — bit-identical to
-        // the wave-parallel computation by construction.
-        const ModularSchedule &schedule = analyzer_.schedule();
-        const SccGraph &sccs = schedule.sccs();
-        buildOwnership(schedule);
-        store_.reset(new TaintSummaryStore(module_.numFuncs()));
-        for (std::size_t level = 0; level < sccs.numWaves(); ++level) {
-            for (std::uint32_t scc : sccs.wave(level)) {
-                TaintSummaryStore::Delta delta;
-                computeSccMasks(sccs, scc, &delta);
-                store_->publish(std::move(delta));
-            }
-        }
     }
 
     // ---- Modular bottom-up evaluation -----------------------------
@@ -483,7 +434,7 @@ class Engine
         }
     }
 
-    // ---- Finalization (common to both schedules) ------------------
+    // ---- Finalization ---------------------------------------------
 
     void
     finalize(TaintResult &result)

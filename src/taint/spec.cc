@@ -256,7 +256,6 @@ TaintOptions::fromEnv()
     options.useTypes = !defaultTaintNoType();
     options.sanitizers = defaultTaintSanitizers();
     options.maxFactsPerValue = defaultTaintMaxFacts();
-    options.mode = defaultScheduleMode();
     return options;
 }
 

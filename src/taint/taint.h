@@ -23,21 +23,19 @@
  * gate switch off and the engine demonstrably loses precision (the
  * ablation the lint campaign pins).
  *
- * Two evaluation strategies compute the same least fixpoint (the join
- * is an exact capped set union — a semilattice — so chaotic iteration
- * order cannot change the result):
- *
- *  - **WholeProgram** (MANTA_WP=1): one global worklist.
- *  - **ModularBottomUp** (default): bottom-up callgraph-SCC waves
- *    (analysis/scc.h) computing per-function taint summaries into a
- *    TaintSummaryStore that is frozen during a wave and published
- *    sequentially in pack order between waves — MANTA_JOBS-independent
- *    like core/fn_summary.h — followed by a sequential cross-function
- *    drain to the fixpoint. Summaries are instantiated per call site
- *    as shortcut edges (actual argument -> call result).
+ * The fixpoint is evaluated bottom-up over callgraph-SCC waves
+ * (analysis/scc.h), computing per-function taint summaries into a
+ * TaintSummaryStore that is frozen during a wave and published
+ * sequentially in pack order between waves — MANTA_JOBS-independent
+ * like core/fn_summary.h — followed by a sequential cross-function
+ * drain to the fixpoint. Summaries are instantiated per call site as
+ * shortcut edges (actual argument -> call result). The join is an
+ * exact capped set union — a semilattice — so iteration order cannot
+ * change the least fixpoint: the fact table equals the one-worklist
+ * reference (reference/taint_ref.h) value for value.
  *
  * Every artifact (flows, summaries, canonical text) is byte-identical
- * across MANTA_JOBS and between the two schedules; the taint_stable
+ * across MANTA_JOBS and under print/parse roundtrips; the taint_stable
  * fuzz oracle and tests/test_taint.cc pin this.
  */
 #ifndef MANTA_TAINT_TAINT_H
@@ -138,8 +136,7 @@ const char *flowChecker(const TaintFlow &flow);
  * Per-function taint summary. `paramToRet` bit i means parameter i may
  * flow to the return value through barrier- and sanitizer-respecting
  * DDG paths inside the function (and its callees); `retFacts` are the
- * facts reaching the return value(s) at the fixpoint. Both are
- * computed under either schedule and must be bit-identical.
+ * facts reaching the return value(s) at the fixpoint.
  */
 struct FnTaintSummary
 {
@@ -148,7 +145,7 @@ struct FnTaintSummary
 };
 
 /**
- * The shared per-function summary table of the modular schedule,
+ * The shared per-function summary table of the wave schedule,
  * mirroring core/fn_summary.h's discipline: read-only (frozen) while a
  * wave's packs run concurrently, then deltas are published
  * sequentially in pack order between waves. Each function is
@@ -211,7 +208,7 @@ struct TaintStats
     std::size_t suppressed = 0;   ///< Flows killed by the endpoint gate.
     std::size_t barrierValues = 0; ///< Facted values the barrier stops.
     std::size_t sanitizedEdges = 0; ///< ExtRet edges killed at sanitizers.
-    std::size_t waves = 0;        ///< Modular schedule: wave levels run.
+    std::size_t waves = 0;        ///< Wave levels run.
     std::size_t drainRounds = 0;  ///< Cross-function drain iterations.
     double seconds = 0.0;         ///< Wall clock of runTaint().
 };
@@ -227,8 +224,6 @@ struct TaintOptions
     bool sanitizers = true;
     /** Capped-join bound per value; honors MANTA_TAINT_MAX_FACTS. */
     std::size_t maxFactsPerValue = 256;
-    /** Evaluation strategy; both compute the same fixpoint. */
-    ScheduleMode mode = ScheduleMode::ModularBottomUp;
 
     /** Defaults with every MANTA_TAINT* knob applied. */
     static TaintOptions fromEnv();
@@ -249,8 +244,9 @@ struct TaintResult
     /**
      * The identity artifact: flows + per-function summaries + the
      * fixpoint-derived counters, rendered deterministically. Must be
-     * byte-identical across MANTA_JOBS, between ModularBottomUp and
-     * WholeProgram, and under print/parse roundtrips (the taint_stable
+     * byte-identical across MANTA_JOBS and under print/parse
+     * roundtrips, and its flows and return facts are derived from a
+     * fact table equal to the reference fixpoint (the taint_stable
      * oracle's contract). Timings and schedule counters are excluded.
      */
     std::string canonicalText(const Module &module) const;

@@ -1,10 +1,11 @@
 /**
  * @file
- * Unit tests for the fast traversal engine's building blocks (context
- * interning, epoch-stamped scratch, memoized summaries) and for
- * fast-vs-reference agreement on the CFL edge cases: maxStack capping,
- * budget truncation mid-query, call-argument exits under a bound
- * context, and empty-stack ascent past the starting frame.
+ * Unit tests for the production walker's building blocks (context
+ * interning, epoch-stamped scratch, memoized summaries) and for its
+ * agreement with the reference walker (reference/refine_ref.h) on the
+ * CFL edge cases: maxStack capping, budget truncation mid-query,
+ * call-argument exits under a bound context, and empty-stack ascent
+ * past the starting frame.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "core/pipeline.h"
 #include "frontend/generator.h"
 #include "mir/parser.h"
+#include "reference/refine_ref.h"
 
 namespace manta {
 namespace {
@@ -106,27 +108,34 @@ class DdgWalkTest : public ::testing::Test
     }
 
     DdgWalker
-    walker(WalkEngine engine, WalkBudget budget = {})
+    walker(WalkBudget budget = {})
     {
         return DdgWalker(analyzer_->ddg(), env_.get(), module_.types(),
-                         budget, engine);
+                         budget);
     }
 
-    /** Both engines, element for element, over every value. */
+    RefWalker
+    reference(WalkBudget budget = {})
+    {
+        return RefWalker(module_, analyzer_->ddg(), analyzer_->hints(),
+                         env_.get(), module_.types(), budget);
+    }
+
+    /** Production and reference, element for element, on every value. */
     void
     expectEnginesAgree(WalkBudget budget = {})
     {
-        DdgWalker fast = walker(WalkEngine::Fast, budget);
-        DdgWalker ref = walker(WalkEngine::Reference, budget);
+        DdgWalker fast = walker(budget);
+        const RefWalker ref = reference(budget);
         for (std::size_t v = 0; v < module_.numValues(); ++v) {
             const ValueId vid(static_cast<ValueId::RawType>(v));
             const ValueKind kind = module_.value(vid).kind;
             if (kind != ValueKind::Argument && kind != ValueKind::InstResult)
                 continue;
-            EXPECT_EQ(fast.findRoots(vid), ref.findRoots(vid))
+            EXPECT_EQ(fast.findRoots(vid), ref.findRootsRef(vid))
                 << "roots differ for value " << v;
             EXPECT_EQ(fast.collectTypes(vid, analyzer_->hints()),
-                      ref.collectTypes(vid, analyzer_->hints()))
+                      ref.collectTypesRef(vid))
                 << "types differ for value " << v;
         }
     }
@@ -171,14 +180,14 @@ TEST_F(DdgWalkTest, MaxStackCapsDescentIdenticallyInBothEngines)
     shallow.maxStack = 1;  // can enter @mid but not @leaf
     expectEnginesAgree(shallow);
 
-    DdgWalker fast = walker(WalkEngine::Fast, shallow);
+    DdgWalker fast = walker(shallow);
     (void)fast.findRoots(val("r"));
     (void)fast.collectTypes(val("h"), analyzer_->hints());
     EXPECT_LE(fast.stats().peakCtxDepth, shallow.maxStack);
 
     WalkBudget deep;
     deep.maxStack = 8;
-    DdgWalker fast_deep = walker(WalkEngine::Fast, deep);
+    DdgWalker fast_deep = walker(deep);
     (void)fast_deep.collectTypes(val("h"), analyzer_->hints());
     EXPECT_GE(fast_deep.stats().peakCtxDepth, 2u);
     expectEnginesAgree(deep);
@@ -190,16 +199,18 @@ TEST_F(DdgWalkTest, CallArgExitRespectsBoundContext)
     // the calling context bound; the CallArg exit must come back out
     // through @top2's argument edge only, never @top1's pointer.
     load(kNestedCalls);
-    for (const WalkEngine engine :
-         {WalkEngine::Fast, WalkEngine::Reference}) {
-        DdgWalker w = walker(engine);
-        const auto roots = w.findRoots(val("r2"));
+    DdgWalker w = walker();
+    const RefWalker ref = reference();
+    for (const auto &roots : {w.findRoots(val("r2")),
+                              ref.findRootsRef(val("r2"))}) {
         ASSERT_EQ(roots.size(), 1u);
         EXPECT_EQ(module_.value(roots[0]).kind, ValueKind::Constant);
         EXPECT_EQ(module_.value(roots[0]).constValue, 42);
-        const auto roots1 = w.findRoots(val("r"));
-        ASSERT_EQ(roots1.size(), 1u);
-        EXPECT_EQ(roots1[0], val("h"));
+    }
+    for (const auto &roots : {w.findRoots(val("r")),
+                              ref.findRootsRef(val("r"))}) {
+        ASSERT_EQ(roots.size(), 1u);
+        EXPECT_EQ(roots[0], val("h"));
     }
 }
 
@@ -209,19 +220,15 @@ TEST_F(DdgWalkTest, EmptyStackAscentReachesEveryCaller)
     // ascend through any call-argument edge: both callers' sources
     // are roots of the shared parameter.
     load(kNestedCalls);
-    for (const WalkEngine engine :
-         {WalkEngine::Fast, WalkEngine::Reference}) {
-        DdgWalker w = walker(engine);
-        const auto roots = w.findRoots(val("y"));
-        bool saw_h = false, saw_const = false;
-        for (const ValueId r : roots) {
-            saw_h |= r == val("h");
-            saw_const |= module_.value(r).kind == ValueKind::Constant &&
-                         module_.value(r).constValue == 42;
-        }
-        EXPECT_TRUE(saw_h) << "engine " << static_cast<int>(engine);
-        EXPECT_TRUE(saw_const) << "engine " << static_cast<int>(engine);
+    DdgWalker w = walker();
+    bool saw_h = false, saw_const = false;
+    for (const ValueId r : w.findRoots(val("y"))) {
+        saw_h |= r == val("h");
+        saw_const |= module_.value(r).kind == ValueKind::Constant &&
+                     module_.value(r).constValue == 42;
     }
+    EXPECT_TRUE(saw_h);
+    EXPECT_TRUE(saw_const);
     expectEnginesAgree();
 }
 
@@ -240,7 +247,7 @@ entry:
 )");
     WalkBudget tiny;
     tiny.maxVisited = 2;
-    DdgWalker w = walker(WalkEngine::Fast, tiny);
+    DdgWalker w = walker(tiny);
     const auto first = w.rootsOf(val("d"));
     EXPECT_TRUE(w.lastQueryTruncated());
     const auto second = w.rootsOf(val("d"));
@@ -250,7 +257,7 @@ entry:
     EXPECT_EQ(w.stats().memoHits, 0u);  // truncated answers never cached
     EXPECT_EQ(w.stats().truncated, 2u);
 
-    DdgWalker roomy = walker(WalkEngine::Fast);
+    DdgWalker roomy = walker();
     const auto full1 = roomy.rootsOf(val("d"));
     EXPECT_FALSE(roomy.lastQueryTruncated());
     const auto full2 = roomy.rootsOf(val("d"));
@@ -271,46 +278,19 @@ TEST_F(DdgWalkTest, GeneratedProgramEnginesAgree)
     makeAcyclic(*prog.module);
     MantaAnalyzer an(*prog.module);
 
-    HybridConfig fast_par = HybridConfig::full();
-    fast_par.walkEngine = WalkEngine::Fast;
-    fast_par.walkParallel = true;
-    HybridConfig fast_seq = fast_par;
-    fast_seq.walkParallel = false;
-    HybridConfig ref_cfg = HybridConfig::full();
-    ref_cfg.walkEngine = WalkEngine::Reference;
-    ref_cfg.walkParallel = false;
+    const InferenceResult first = an.infer(HybridConfig::full());
+    const InferenceResult second = an.infer(HybridConfig::full());
+    const RefOverlays ref = referenceInfer(an, HybridConfig::full());
+    EXPECT_EQ(diffOverlays(first, ref), "");
+    EXPECT_EQ(diffOverlays(second, ref), "");
 
-    const InferenceResult par = an.infer(fast_par);
-    const InferenceResult seq = an.infer(fast_seq);
-    const InferenceResult ref = an.infer(ref_cfg);
-
-    auto expect_same = [&](const InferenceResult &a,
-                           const InferenceResult &b, const char *label) {
-        EXPECT_EQ(a.overlay().size(), b.overlay().size()) << label;
-        for (const auto &[v, bp] : a.overlay()) {
-            const auto it = b.overlay().find(v);
-            ASSERT_NE(it, b.overlay().end()) << label << " value " << v.raw();
-            EXPECT_EQ(it->second.upper, bp.upper) << label;
-            EXPECT_EQ(it->second.lower, bp.lower) << label;
-        }
-        EXPECT_EQ(a.siteOverlay().size(), b.siteOverlay().size()) << label;
-        for (const auto &[sv, bp] : a.siteOverlay()) {
-            const auto it = b.siteOverlay().find(sv);
-            ASSERT_NE(it, b.siteOverlay().end()) << label;
-            EXPECT_EQ(it->second.upper, bp.upper) << label;
-            EXPECT_EQ(it->second.lower, bp.lower) << label;
-        }
-    };
-    expect_same(par, seq, "parallel-vs-sequential");
-    expect_same(par, ref, "fast-vs-reference");
-
-    // Query counts are job-count-invariant (fixed-size chunks; a
-    // memo hit still counts as a query). Hit counts differ between
-    // the chunked and whole-worklist memo scopes, so only the totals
-    // that the bounds depend on are asserted here.
-    EXPECT_EQ(par.profile().csWalk.queries, seq.profile().csWalk.queries);
-    EXPECT_EQ(par.profile().fsWalk.queries, seq.profile().fsWalk.queries);
-    EXPECT_GT(par.profile().csWalk.queries + par.profile().fsWalk.queries,
+    // Packs are fixed-size and published in pack order, so the walk
+    // counters repeat exactly from run to run.
+    EXPECT_EQ(first.profile().csWalk.queries,
+              second.profile().csWalk.queries);
+    EXPECT_EQ(first.profile().fsWalk.steps, second.profile().fsWalk.steps);
+    EXPECT_GT(first.profile().csWalk.queries +
+                  first.profile().fsWalk.queries,
               0u);
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Table-driven coverage of every HybridConfig environment override.
+ * Table-driven coverage of every MANTA_* environment override.
  *
  * The process environment is global mutable state, so the knobs'
  * default-readers cache their answer on first use and the pipeline
@@ -9,9 +9,6 @@
  * per knob shape, including the invalid-value fallback-with-warning
  * contract:
  *
- *   MANTA_WP        envFlagTruthy   ScheduleMode::WholeProgram
- *   MANTA_WALK_REF  envFlagTruthy   WalkEngine::Reference
- *   MANTA_PTS_DENSE envFlagTruthy   PtsSolver::Dense
  *   MANTA_JOBS      parseEnvLong    worker count (>= 1)
  *   MANTA_INFER     parseEnvChoice  InferEngine::{Unify,Subtype}
  *   MANTA_TAINT_NOTYPE      envFlagTruthy   taint ablation flip
@@ -19,16 +16,15 @@
  *   MANTA_TAINT_SANITIZERS  parseEnvChoice  {on,off}
  *
  * The chaos switches (MANTA_FUZZ_BREAK_MEET, MANTA_FUZZ_BREAK_PTS)
- * share the flag-truthiness rule but latch at static-init time; their
- * live state is covered through the ChaosScope test override.
+ * share MANTA_TAINT_NOTYPE's flag-truthiness rule but latch at
+ * static-init time; their live state is covered through the
+ * ChaosScope test override.
  */
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
-#include "analysis/pointsto.h"
-#include "core/ddg_walk.h"
 #include "core/pipeline.h"
 #include "support/chaos.h"
 #include "support/env.h"
@@ -37,7 +33,7 @@
 namespace manta {
 namespace {
 
-// ---- Flag knobs: MANTA_WP, MANTA_WALK_REF, MANTA_PTS_DENSE --------
+// ---- Flag knobs: MANTA_TAINT_NOTYPE and the chaos switches --------
 
 TEST(EnvFlag, UnsetAndEmptyAndZeroAreOff)
 {
@@ -48,9 +44,9 @@ TEST(EnvFlag, UnsetAndEmptyAndZeroAreOff)
 
 TEST(EnvFlag, AnyOtherValueIsOn)
 {
-    // The documented contract for all three flag knobs: set, non-empty
-    // and not exactly "0" means on - including values a user might
-    // reach for instinctively.
+    // The documented contract for every flag knob: set, non-empty and
+    // not exactly "0" means on - including values a user might reach
+    // for instinctively.
     for (const char *value :
          {"1", "2", "true", "yes", "on", "TRUE", " 0", "00"}) {
         EXPECT_TRUE(envFlagTruthy(value)) << "\"" << value << "\"";
@@ -193,13 +189,11 @@ TEST(EnvTaint, LiveReadersAgreeWithTheInheritedEnvironment)
     EXPECT_EQ(taint::defaultTaintSanitizers(),
               parseEnvChoice("MANTA_TAINT_SANITIZERS", raw_san, kChoices, 2,
                              0) == 0u);
-    // And TaintOptions::fromEnv must pick all three up, plus the
-    // shared schedule knob.
+    // And TaintOptions::fromEnv must pick all three up.
     const taint::TaintOptions opts = taint::TaintOptions::fromEnv();
     EXPECT_EQ(opts.useTypes, !taint::defaultTaintNoType());
     EXPECT_EQ(opts.maxFactsPerValue, taint::defaultTaintMaxFacts());
     EXPECT_EQ(opts.sanitizers, taint::defaultTaintSanitizers());
-    EXPECT_EQ(opts.mode, defaultScheduleMode());
 }
 
 // ---- Chaos switches: env-latched flags with a test override -------
@@ -235,20 +229,7 @@ TEST(EnvDefaults, LiveReadersAgreeWithTheInheritedEnvironment)
     // The cached default-readers must equal the documented rule applied
     // to whatever environment this process inherited. Written against
     // the inherited value (not a fixed expectation) so the same binary
-    // also validates the readers under the CI differential runs
-    // (MANTA_WP=1, MANTA_WALK_REF=1, MANTA_INFER=subtype).
-    EXPECT_EQ(defaultScheduleMode(),
-              envFlagTruthy(std::getenv("MANTA_WP"))
-                  ? ScheduleMode::WholeProgram
-                  : ScheduleMode::ModularBottomUp);
-    EXPECT_EQ(defaultWalkEngine(),
-              envFlagTruthy(std::getenv("MANTA_WALK_REF"))
-                  ? WalkEngine::Reference
-                  : WalkEngine::Fast);
-    EXPECT_EQ(PointsTo::defaultSolver(),
-              envFlagTruthy(std::getenv("MANTA_PTS_DENSE"))
-                  ? PtsSolver::Dense
-                  : PtsSolver::Sparse);
+    // also validates the reader under the CI MANTA_INFER=subtype run.
     const char *infer = std::getenv("MANTA_INFER");
     const bool subtype = infer && std::string(infer) == "subtype";
     EXPECT_EQ(defaultInferEngine(),

@@ -3,11 +3,9 @@
  * The sparse points-to solver: LocSet container semantics, delta
  * propagation on small CFG shapes, and the differential guarantee
  * that the sparse worklist engine computes a bit-identical solution
- * to the dense reference (MANTA_PTS_DENSE=1) on generated corpora —
+ * to the dense reference (PtsSolver::Dense) on generated corpora —
  * including identical downstream inference results.
  */
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
 #include "analysis/acyclic.h"
@@ -333,27 +331,56 @@ TEST(SparseCorpusTest, DownstreamInferenceMatchesDense)
     makeAcyclic(*prog.module);
     Module &m = *prog.module;
 
-    setenv("MANTA_PTS_DENSE", "1", 1);
-    MantaAnalyzer dense_analyzer(m);
-    unsetenv("MANTA_PTS_DENSE");
-    MantaAnalyzer sparse_analyzer(m);
-    ASSERT_EQ(dense_analyzer.pts().solver(), PtsSolver::Dense);
-    ASSERT_EQ(sparse_analyzer.pts().solver(), PtsSolver::Sparse);
+    // Everything downstream of points-to (the DDG, the hint index and
+    // the flow-insensitive environment the refinement stages start
+    // from) must come out identical from either solver.
+    const MemObjects objects(m);
+    PointsTo dense(m, objects, true, PtsSolver::Dense);
+    dense.run();
+    PointsTo sparse(m, objects);
+    sparse.run();
+    ASSERT_EQ(sparse.solver(), PtsSolver::Sparse);
 
-    const InferenceResult dense_result = dense_analyzer.infer();
-    const InferenceResult sparse_result = sparse_analyzer.infer();
+    const Ddg dense_ddg(m, dense);
+    const Ddg sparse_ddg(m, sparse);
+    ASSERT_EQ(dense_ddg.numEdges(), sparse_ddg.numEdges());
+    for (std::uint32_t e = 0; e < dense_ddg.numEdges(); ++e) {
+        const Ddg::Edge &de = dense_ddg.edge(e);
+        const Ddg::Edge &se = sparse_ddg.edge(e);
+        ASSERT_TRUE(de.from == se.from && de.to == se.to &&
+                    de.kind == se.kind && de.site == se.site)
+            << "edge #" << e;
+    }
+
+    const HintIndex dense_hints(m, &dense);
+    const HintIndex sparse_hints(m, &sparse);
+    ASSERT_EQ(dense_hints.numHints(), sparse_hints.numHints());
+    for (std::size_t i = 0; i < m.numInsts(); ++i) {
+        const InstId iid(static_cast<InstId::RawType>(i));
+        const auto &dh = dense_hints.at(iid);
+        const auto &sh = sparse_hints.at(iid);
+        ASSERT_EQ(dh.size(), sh.size()) << "inst #" << i;
+        for (std::size_t h = 0; h < dh.size(); ++h) {
+            ASSERT_TRUE(dh[h].value == sh[h].value &&
+                        dh[h].type == sh[h].type)
+                << "inst #" << i << " hint " << h;
+        }
+    }
+    TypeEnv dense_env(m.types());
+    TypeEnv sparse_env(m.types());
+    FlowInsensitiveInference(m, dense, dense_hints).run(dense_env);
+    FlowInsensitiveInference(m, sparse, sparse_hints).run(sparse_env);
     for (std::size_t v = 0; v < m.numValues(); ++v) {
         const ValueId vid(static_cast<ValueId::RawType>(v));
         const ValueKind kind = m.value(vid).kind;
         if (kind != ValueKind::Argument && kind != ValueKind::InstResult)
             continue;
-        ASSERT_EQ(dense_result.valueClass(vid),
-                  sparse_result.valueClass(vid))
+        ASSERT_EQ(dense_env.classifyOf(TypeVar::of(vid)),
+                  sparse_env.classifyOf(TypeVar::of(vid)))
             << "value #" << v;
     }
-    EXPECT_GT(sparse_analyzer.pts().stats().seconds, 0.0);
-    EXPECT_LE(sparse_analyzer.pts().stats().pops,
-              dense_analyzer.pts().stats().pops);
+    EXPECT_GT(sparse.stats().seconds, 0.0);
+    EXPECT_LE(sparse.stats().pops, dense.stats().pops);
 }
 
 TEST(SparseCorpusTest, FlowInsensitiveModeAlsoMatches)

@@ -33,6 +33,7 @@
 #include "fuzz/sample.h"
 #include "mir/interp.h"
 #include "mir/printer.h"
+#include "reference/refine_ref.h"
 #include "subtype/constraint.h"
 #include "subtype/solver.h"
 
@@ -416,33 +417,16 @@ TEST(EngineAgreement, SubtypeAddsNoInterpreterViolations)
 
 TEST(EngineAgreement, ModularMatchesWholeProgramUnderSubtype)
 {
+    // Production refinement on the subtype core's FI environment must
+    // equal the one-worklist (whole-program) reference on it too.
     ProjectProfile profile = standardCorpus()[6];  // openssh mix
     PreparedProject project = prepareProject(profile);
 
-    HybridConfig modular = HybridConfig::full();
-    modular.inferEngine = InferEngine::Subtype;
-    modular.scheduleMode = ScheduleMode::ModularBottomUp;
-    HybridConfig wp = HybridConfig::full();
-    wp.inferEngine = InferEngine::Subtype;
-    wp.scheduleMode = ScheduleMode::WholeProgram;
-
-    const InferenceResult a = project.analyzer->infer(modular);
-    const InferenceResult b = project.analyzer->infer(wp);
-
-    ASSERT_EQ(a.overlay().size(), b.overlay().size());
-    for (const auto &[v, bp] : b.overlay()) {
-        const auto it = a.overlay().find(v);
-        ASSERT_NE(it, a.overlay().end());
-        EXPECT_EQ(it->second.upper, bp.upper);
-        EXPECT_EQ(it->second.lower, bp.lower);
-    }
-    ASSERT_EQ(a.siteOverlay().size(), b.siteOverlay().size());
-    for (const auto &[sv, bp] : b.siteOverlay()) {
-        const auto it = a.siteOverlay().find(sv);
-        ASSERT_NE(it, a.siteOverlay().end());
-        EXPECT_EQ(it->second.upper, bp.upper);
-        EXPECT_EQ(it->second.lower, bp.lower);
-    }
+    HybridConfig config = HybridConfig::full();
+    config.inferEngine = InferEngine::Subtype;
+    EXPECT_EQ(diffOverlays(project.analyzer->infer(config),
+                           referenceInfer(*project.analyzer, config)),
+              "");
 }
 
 TEST(EngineAgreement, EngineDiffOracleGreenOnKnownGoodSeeds)
