@@ -43,17 +43,14 @@ main(int argc, char **argv)
     Timer timer;
     InferenceResult types = analyzer.infer();
     const PruneStats prunes = pruneInfeasibleDeps(analyzer.ddg(), types);
-    DetectorOptions typed_opts;
-    const BugDetector typed(analyzer, &types, typed_opts);
+    const BugDetector typed(analyzer, &types);
     const auto typed_reports = typed.runAll();
     const double typed_ms = timer.milliseconds();
     analyzer.ddg().resetPruning();
 
     // No-type ablation.
     timer.reset();
-    DetectorOptions untyped_opts;
-    untyped_opts.useTypes = false;
-    const BugDetector untyped(analyzer, nullptr, untyped_opts);
+    const BugDetector untyped(analyzer, nullptr);
     const auto untyped_reports = untyped.runAll();
     const double untyped_ms = timer.milliseconds();
 

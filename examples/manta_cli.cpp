@@ -70,9 +70,7 @@ printBugs(MantaAnalyzer &analyzer, const InferenceResult *types)
 {
     if (types)
         pruneInfeasibleDeps(analyzer.ddg(), *types);
-    DetectorOptions opts;
-    opts.useTypes = types != nullptr;
-    const BugDetector detector(analyzer, types, opts);
+    const BugDetector detector(analyzer, types);
     const auto reports = detector.runAll();
     std::printf("%zu report(s)%s\n", reports.size(),
                 types ? " (type-assisted)" : " (no types)");

@@ -75,9 +75,7 @@ main()
 
     // Untyped detection first: the zero-offset path produces a false
     // NPD (it reaches the dereference through the add).
-    DetectorOptions untyped_opts;
-    untyped_opts.useTypes = false;
-    const BugDetector untyped(analyzer, nullptr, untyped_opts);
+    const BugDetector untyped(analyzer, nullptr);
     std::printf("\nWithout types: %zu NPD report(s) - the Figure 4(c) "
                 "false positive.\n",
                 untyped.run(CheckerKind::NPD).size());
@@ -89,7 +87,7 @@ main()
                 "edges:\n", stats.pruned, stats.examined);
     dumpArithEdges(module, analyzer.ddg());
 
-    const BugDetector typed(analyzer, &types, DetectorOptions{});
+    const BugDetector typed(analyzer, &types);
     std::printf("\nWith types: %zu NPD report(s) - the offset edge is "
                 "gone, so the zero\nnever reaches the dereference.\n",
                 typed.run(CheckerKind::NPD).size());

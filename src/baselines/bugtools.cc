@@ -205,9 +205,7 @@ runArbiterLike(MantaAnalyzer &analyzer)
     Module &module = analyzer.module();
 
     // Detection pass: reuse the untyped detector...
-    DetectorOptions opts;
-    opts.useTypes = false;
-    const BugDetector detector(analyzer, nullptr, opts);
+    const BugDetector detector(analyzer, nullptr);
     const auto candidates = detector.runAll();
 
     // ...then the under-constrained symbolic-execution filter: only a

@@ -22,28 +22,23 @@ checkerName(CheckerKind kind)
 }
 
 BugDetector::BugDetector(MantaAnalyzer &analyzer,
-                         const InferenceResult *inference,
-                         DetectorOptions options)
+                         const InferenceResult *inference)
     : module_(analyzer.module()), analyzer_(analyzer), inference_(inference),
-      options_(options), slicer_(module_, analyzer.ddg()),
-      order_(module_), instIndex_(module_)
+      slicer_(module_, analyzer.ddg()), order_(module_), instIndex_(module_),
+      // Model indirect calls: with types the feasible set comes from
+      // the type-based analysis; without, every address-taken function
+      // with a compatible argument count is a target.
+      icallTargets_(IcallAnalysis(module_, inference_)
+                        .run(useTypes() ? IcallDiscipline::FullTypes
+                                        : IcallDiscipline::ArgCount))
 {
-    // Model indirect calls: connect arguments to the feasible targets'
-    // parameters. With types, the feasible set comes from the
-    // type-based analysis; without, every address-taken function with
-    // a compatible argument count is a target.
-    const IcallAnalysis icall(module_,
-                              options_.useTypes ? inference_ : nullptr);
-    const IcallResult targets = icall.run(options_.useTypes
-                                              ? IcallDiscipline::FullTypes
-                                              : IcallDiscipline::ArgCount);
-    bindIcallTargets(slicer_, module_, targets);
+    bindIcallTargets(slicer_, module_, icallTargets_);
 }
 
 bool
 BugDetector::preciselyNumeric(ValueId v) const
 {
-    if (!options_.useTypes || inference_ == nullptr)
+    if (!useTypes())
         return false;
     TypeTable &tt = inference_->types();
     const BoundPair bp = inference_->valueBounds(v);
@@ -55,9 +50,8 @@ DataSlicer::Options
 BugDetector::sliceOptions(bool with_barrier) const
 {
     DataSlicer::Options opts;
-    opts.respectPruning = options_.useTypes;
-    opts.maxVisited = options_.maxVisited;
-    if (with_barrier && options_.useTypes) {
+    opts.respectPruning = useTypes();
+    if (with_barrier && useTypes()) {
         opts.barrier = [this](ValueId v) { return preciselyNumeric(v); };
     }
     return opts;

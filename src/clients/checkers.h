@@ -52,34 +52,49 @@ struct BugReport
     std::string message;
 };
 
-/** Detector configuration. */
-struct DetectorOptions
-{
-    /** Enable type assistance (pruning, icall filtering, barriers). */
-    bool useTypes = true;
-    /** Slice budget. */
-    std::size_t maxVisited = 100000;
-};
-
-/** The source-sink bug detector. */
+/**
+ * The source-sink bug detector, and the one owner of the type-assisted
+ * slice world (slicer with icall edges bound, order oracle,
+ * instruction index, icall targets). The lint framework's LintContext
+ * holds one detector and hands these out to every checker, so one lint
+ * run sets the world up exactly once.
+ */
 class BugDetector
 {
   public:
     /**
      * @param analyzer An analyzer whose DDG has (optionally) been
-     *                 pruned; the detector adds indirect-call edges
-     *                 according to the options.
-     * @param inference The inference result (may be null only when
-     *                  options.useTypes is false).
+     *                 pruned; the detector binds indirect-call edges
+     *                 into its slicer.
+     * @param inference The inference result; null selects the
+     *                  Manta-NoType ablation (pruning ignored, ArgCount
+     *                  icall targets, no numeric barrier).
      */
-    BugDetector(MantaAnalyzer &analyzer, const InferenceResult *inference,
-                DetectorOptions options);
+    BugDetector(MantaAnalyzer &analyzer, const InferenceResult *inference);
 
     /** Run one checker. */
     std::vector<BugReport> run(CheckerKind kind) const;
 
     /** Run all five checkers. */
     std::vector<BugReport> runAll() const;
+
+    /// @name The shared slice world.
+    /// @{
+    /** Type assistance on (inference given). */
+    bool useTypes() const { return inference_ != nullptr; }
+    /** Slicer with indirect-call edges already bound. */
+    const DataSlicer &slicer() const { return slicer_; }
+    const OrderOracle &order() const { return order_; }
+    const InstIndex &instIndex() const { return instIndex_; }
+    /** Feasible icall targets (FullTypes with types, ArgCount without). */
+    const IcallResult &icallTargets() const { return icallTargets_; }
+    /** Slice options: pruning and (optionally) the numeric barrier. */
+    DataSlicer::Options sliceOptions(bool with_barrier) const;
+    /** Inference commits to "numeric" for v (barrier predicate). */
+    bool preciselyNumeric(ValueId v) const;
+    /** Call sites of externals with the given role, in id order. */
+    std::vector<InstId> externalCallsWithRole(ExternRole role) const;
+    /// @}
 
   private:
     std::vector<BugReport> runNpd() const;
@@ -88,17 +103,13 @@ class BugDetector
     std::vector<BugReport> runCmi() const;
     std::vector<BugReport> runBof() const;
 
-    DataSlicer::Options sliceOptions(bool with_barrier) const;
-    bool preciselyNumeric(ValueId v) const;
-    std::vector<InstId> externalCallsWithRole(ExternRole role) const;
-
     Module &module_;
     MantaAnalyzer &analyzer_;
     const InferenceResult *inference_;
-    DetectorOptions options_;
     DataSlicer slicer_;
     OrderOracle order_;
     InstIndex instIndex_;
+    IcallResult icallTargets_;
 };
 
 } // namespace manta

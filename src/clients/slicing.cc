@@ -56,7 +56,7 @@ DataSlicer::forwardSlice(ValueId source, const Options &options) const
 
     std::size_t steps = 0;
     while (!work.empty()) {
-        if (++steps > options.maxVisited)
+        if (++steps > sliceBudget)
             break;
         SliceFrame frame = std::move(work.back());
         work.pop_back();

@@ -23,6 +23,9 @@
 
 namespace manta {
 
+/** Node budget of one forward slice (every checker uses the same). */
+inline constexpr std::size_t sliceBudget = 100000;
+
 /** Forward slicing machinery shared by the checkers. */
 class DataSlicer
 {
@@ -33,8 +36,6 @@ class DataSlicer
         bool respectPruning = true;
         /** Stop expanding nodes for which this returns true. */
         std::function<bool(ValueId)> barrier;
-        /** Node budget per slice. */
-        std::size_t maxVisited = 100000;
     };
 
     DataSlicer(const Module &module, const Ddg &ddg)
@@ -44,7 +45,10 @@ class DataSlicer
     /** Add an extra dependence edge (e.g. indirect-call binding). */
     void addExtraEdge(ValueId from, ValueId to, DepKind kind, InstId site);
 
-    /** Values forward-reachable from `source` (includes source). */
+    /**
+     * Values forward-reachable from `source` (includes source), at
+     * most sliceBudget expansions.
+     */
     std::vector<ValueId> forwardSlice(ValueId source,
                                       const Options &options) const;
 

@@ -62,11 +62,9 @@ trainDirtyModel(int training_programs)
 std::vector<BugReport>
 detectBugs(PreparedProject &project, const InferenceResult *inference)
 {
-    DetectorOptions opts;
-    opts.useTypes = inference != nullptr;
     if (inference)
         pruneInfeasibleDeps(project.analyzer->ddg(), *inference);
-    const BugDetector detector(*project.analyzer, inference, opts);
+    const BugDetector detector(*project.analyzer, inference);
     auto reports = detector.runAll();
     project.analyzer->ddg().resetPruning();
     return reports;

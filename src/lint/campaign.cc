@@ -78,7 +78,6 @@ runLintCampaign(const LintCampaignOptions &options)
     ParallelHarness harness(options.jobs);
 
     LintOptions lint_opts;
-    lint_opts.maxVisited = options.maxVisited;
     lint_opts.taintNoTypeOverride = options.taintNoTypeOverride;
 
     std::vector<ProjectOutcome> outcomes = harness.mapProjects(

@@ -28,7 +28,6 @@ struct LintCampaignOptions
     std::size_t jobs = 0;        ///< Harness workers (0 = MANTA_JOBS).
     bool stable = false;         ///< Zero wall-clock fields in output.
     bool useTypes = true;        ///< false = no-type ablation lint.
-    std::size_t maxVisited = 100000;
     /** Taint-ablation override for the tool run (LintOptions semantics:
      *  -1 honors MANTA_TAINT_NOTYPE, 0 forces the gate on, 1 off). */
     int taintNoTypeOverride = -1;

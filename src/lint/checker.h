@@ -1,13 +1,15 @@
 /**
  * @file
- * The checker interface and registry of the lint framework.
+ * The checker interface and the built-in checker table of the lint
+ * framework.
  *
  * A checker is a stateless class that inspects a read-only
- * LintContext and returns structured Diagnostics. Checkers register
- * through explicit factory functions (registerBuiltinCheckers) rather
- * than static self-registration, so a static-library build cannot
- * silently drop a checker's object file. See docs/LINT.md for the
- * catalog and a worked "write a checker in 50 lines" example.
+ * LintContext and returns structured Diagnostics. Checkers are listed
+ * by explicit factory reference in one immutable table
+ * (builtinCheckers) rather than by static self-registration, so a
+ * static-library build cannot silently drop a checker's object file.
+ * See docs/LINT.md for the catalog and a worked "write a checker in 50
+ * lines" example.
  */
 #ifndef MANTA_LINT_CHECKER_H
 #define MANTA_LINT_CHECKER_H
@@ -43,36 +45,6 @@ class Checker
 
 using CheckerFactory = std::unique_ptr<Checker> (*)();
 
-/**
- * The process-wide checker registry. Factories are registered once
- * (idempotently) by registerBuiltinCheckers(); createAll() builds a
- * fresh instance of every registered checker sorted by id, which is
- * the deterministic execution order of runLint().
- */
-class CheckerRegistry
-{
-  public:
-    static CheckerRegistry &instance();
-
-    /** Register a factory; duplicate ids are rejected (first wins). */
-    void add(CheckerFactory factory);
-
-    /** Fresh instances of every registered checker, sorted by id. */
-    std::vector<std::unique_ptr<Checker>> createAll() const;
-
-    std::size_t size() const { return factories_.size(); }
-
-  private:
-    std::vector<CheckerFactory> factories_;
-};
-
-/**
- * Register the thirteen built-in checkers (five paper adapters + five
- * type-assisted additions + the three-checker taint family). Safe to
- * call more than once.
- */
-void registerBuiltinCheckers();
-
 /// @name Built-in checker factories.
 /// @{
 std::unique_ptr<Checker> makeNpdChecker();
@@ -89,6 +61,28 @@ std::unique_ptr<Checker> makeAddrLeakChecker();
 std::unique_ptr<Checker> makeTaintDerefChecker();
 std::unique_ptr<Checker> makeFormatStringChecker();
 /// @}
+
+/**
+ * The thirteen built-in checkers (five paper adapters + five
+ * type-assisted additions + the three-checker taint family), sorted
+ * by id: the deterministic execution order of runLint(). Immutable,
+ * so concurrent runLint calls share it without a lock.
+ */
+inline constexpr CheckerFactory builtinCheckers[] = {
+    &makeAddrLeakChecker,       // addr-leak
+    &makeBofChecker,            // bof
+    &makeCmiChecker,            // cmi
+    &makeDoubleFreeChecker,     // double-free
+    &makeFormatStringChecker,   // format-string
+    &makeIcallMismatchChecker,  // icall-mismatch
+    &makeNpdChecker,            // npd
+    &makeRsaChecker,            // rsa
+    &makeSignConfusionChecker,  // sign-confusion
+    &makeTaintDerefChecker,     // taint-deref
+    &makeUafChecker,            // uaf
+    &makeUninitStackChecker,    // uninit-stack
+    &makeWidthTruncChecker,     // width-trunc
+};
 
 } // namespace lint
 } // namespace manta

@@ -5,20 +5,10 @@ namespace lint {
 
 LintContext::LintContext(MantaAnalyzer &analyzer,
                          const InferenceResult *inference,
-                         const GroundTruth *truth, ContextOptions options)
+                         const GroundTruth *truth, bool taintNoType)
     : analyzer_(analyzer), module_(analyzer.module()), inference_(inference),
-      truth_(truth), options_(options), slicer_(module_, analyzer.ddg()),
-      order_(module_), instIndex_(module_)
-{
-    // Same indirect-call modeling as BugDetector: the type-based
-    // feasible sets with types, every count-compatible address-taken
-    // function without.
-    const IcallAnalysis icall(module_,
-                              options_.useTypes ? inference_ : nullptr);
-    icallTargets_ = icall.run(options_.useTypes ? IcallDiscipline::FullTypes
-                                                : IcallDiscipline::ArgCount);
-    bindIcallTargets(slicer_, module_, icallTargets_);
-}
+      truth_(truth), taintNoType_(taintNoType), detector_(analyzer, inference)
+{}
 
 const Cfg &
 LintContext::cfg(FuncId func) const
@@ -43,26 +33,12 @@ LintContext::dominators(FuncId func) const
     return *it->second;
 }
 
-const BugDetector &
-LintContext::paperDetector() const
-{
-    if (!detector_) {
-        DetectorOptions opts;
-        opts.useTypes = options_.useTypes;
-        opts.maxVisited = options_.maxVisited;
-        detector_ = std::make_unique<BugDetector>(
-            analyzer_, options_.useTypes ? inference_ : nullptr, opts);
-    }
-    return *detector_;
-}
-
 const taint::TaintResult &
 LintContext::taint() const
 {
     if (!taint_) {
         taint::TaintOptions opts = taint::TaintOptions::fromEnv();
-        opts.useTypes = options_.useTypes && !options_.taintNoType &&
-                        inference_ != nullptr;
+        opts.useTypes = useTypes() && !taintNoType_;
         taint_ = std::make_unique<taint::TaintResult>(
             taint::runTaint(analyzer_, inference_, opts));
         if (inference_ != nullptr) {
@@ -79,33 +55,10 @@ LintContext::taint() const
     return *taint_;
 }
 
-DataSlicer::Options
-LintContext::sliceOptions(bool with_barrier) const
-{
-    DataSlicer::Options opts;
-    opts.respectPruning = options_.useTypes;
-    opts.maxVisited = options_.maxVisited;
-    if (with_barrier && options_.useTypes) {
-        opts.barrier = [this](ValueId v) { return preciselyNumeric(v); };
-    }
-    return opts;
-}
-
-bool
-LintContext::preciselyNumeric(ValueId v) const
-{
-    if (!options_.useTypes || inference_ == nullptr)
-        return false;
-    TypeTable &tt = inference_->types();
-    const BoundPair bp = inference_->valueBounds(v);
-    return tt.isNumeric(bp.upper) &&
-           (tt.isNumeric(bp.lower) || bp.lower == tt.bottom());
-}
-
 bool
 LintContext::definitelyPtr(ValueId v) const
 {
-    if (!options_.useTypes || inference_ == nullptr)
+    if (!useTypes())
         return false;
     TypeTable &tt = inference_->types();
     const BoundPair bp = inference_->valueBounds(v);
@@ -136,21 +89,6 @@ LintContext::loc(InstId inst, std::string role) const
     return location;
 }
 
-std::vector<InstId>
-LintContext::externalCallsWithRole(ExternRole role) const
-{
-    std::vector<InstId> result;
-    for (std::size_t i = 0; i < module_.numInsts(); ++i) {
-        const InstId iid(static_cast<InstId::RawType>(i));
-        const Instruction &inst = module_.inst(iid);
-        if (inst.op == Opcode::Call && inst.external.valid() &&
-                module_.external(inst.external).role == role) {
-            result.push_back(iid);
-        }
-    }
-    return result;
-}
-
 bool
 LintContext::dominatesInst(InstId a, InstId b) const
 {
@@ -160,8 +98,8 @@ LintContext::dominatesInst(InstId a, InstId b) const
     if (fa != module_.block(ib.parent).func)
         return false;
     if (ia.parent == ib.parent) {
-        return instIndex_.positionInBlock(a) <
-               instIndex_.positionInBlock(b);
+        return instIndex().positionInBlock(a) <
+               instIndex().positionInBlock(b);
     }
     const Dominators &dom = dominators(fa);
     return dom.dominates(ia.parent, ib.parent);
@@ -182,7 +120,7 @@ LintContext::fingerprint(const std::string &checker, InstId primary) const
     }
     return checker + "@" + std::string(module_.str(fn.name)) + "#" +
            std::to_string(block_index) +
-           ":" + std::to_string(instIndex_.positionInBlock(primary));
+           ":" + std::to_string(instIndex().positionInBlock(primary));
 }
 
 } // namespace lint

@@ -4,9 +4,11 @@
  *
  * One context wraps one analyzed module: the MIR itself, the
  * (optional) inference result, the points-to/DDG/CFG substrates, the
- * indirect-call target sets (bound into a shared DataSlicer), and the
- * optional frontend ground truth (origin tags, slot-recycling map).
- * Per-function CFGs and dominator trees are built lazily and cached.
+ * paper's BugDetector (which owns the one slicer with icall edges
+ * bound, the order oracle, the instruction index and the icall target
+ * sets), and the optional frontend ground truth (origin tags,
+ * slot-recycling map). Per-function CFGs and dominator trees are
+ * built lazily and cached.
  *
  * Threading: a LintContext is NOT thread-safe (the lazy caches are
  * unsynchronized). The parallel lint driver builds one context per
@@ -28,36 +30,27 @@
 namespace manta {
 namespace lint {
 
-/** Context-level knobs (mirrors DetectorOptions). */
-struct ContextOptions
-{
-    /** Type assistance: pruning, icall filtering, numeric barriers. */
-    bool useTypes = true;
-    /** Slice budget per source (DataSlicer::Options::maxVisited). */
-    std::size_t maxVisited = 100000;
-    /**
-     * Ablation flip for the taint family (MANTA_TAINT_NOTYPE=1): the
-     * taint engine still propagates, but runs without the numeric
-     * barrier and endpoint gate, so addr-leak / taint-deref /
-     * format-string lose their type-based FP suppression while every
-     * other checker keeps useTypes.
-     */
-    bool taintNoType = taint::defaultTaintNoType();
-};
-
 /** The read-only world a checker inspects. */
 class LintContext
 {
   public:
     /**
-     * @param analyzer  Analyzer whose DDG has (optionally) been
-     *                  pruned, exactly as for BugDetector.
-     * @param inference Type source; may be null only when
-     *                  options.useTypes is false.
-     * @param truth     Frontend ground truth; null for stripped input.
+     * @param analyzer    Analyzer whose DDG has (optionally) been
+     *                    pruned, exactly as for BugDetector.
+     * @param inference   Type source; null = no-type mode (the
+     *                    ablation: pruning, icall filtering and
+     *                    numeric barriers all off).
+     * @param truth       Frontend ground truth; null for stripped input.
+     * @param taintNoType Ablation flip for the taint family (runLint
+     *                    reads MANTA_TAINT_NOTYPE): the taint engine still
+     *                    propagates, but without the numeric barrier
+     *                    and endpoint gate, so addr-leak / taint-deref /
+     *                    format-string lose their type-based FP
+     *                    suppression while every other checker keeps
+     *                    its types.
      */
     LintContext(MantaAnalyzer &analyzer, const InferenceResult *inference,
-                const GroundTruth *truth, ContextOptions options = {});
+                const GroundTruth *truth, bool taintNoType);
 
     LintContext(const LintContext &) = delete;
     LintContext &operator=(const LintContext &) = delete;
@@ -68,8 +61,7 @@ class LintContext
     MantaAnalyzer &analyzer() const { return analyzer_; }
     const InferenceResult *inference() const { return inference_; }
     const GroundTruth *truth() const { return truth_; }
-    bool useTypes() const { return options_.useTypes; }
-    const ContextOptions &options() const { return options_; }
+    bool useTypes() const { return detector_.useTypes(); }
     const PointsTo &pts() const { return analyzer_.pts(); }
     const MemObjects &memObjects() const { return analyzer_.memObjects(); }
     const Ddg &ddg() const { return analyzer_.ddg(); }
@@ -78,38 +70,50 @@ class LintContext
     /// @name Shared traversal machinery.
     /// @{
     /** Slicer with indirect-call edges already bound. */
-    const DataSlicer &slicer() const { return slicer_; }
-    const OrderOracle &order() const { return order_; }
-    const InstIndex &instIndex() const { return instIndex_; }
+    const DataSlicer &slicer() const { return detector_.slicer(); }
+    const OrderOracle &order() const { return detector_.order(); }
+    const InstIndex &instIndex() const { return detector_.instIndex(); }
     /** Feasible icall targets (FullTypes with types, ArgCount without). */
-    const IcallResult &icallTargets() const { return icallTargets_; }
+    const IcallResult &icallTargets() const
+    {
+        return detector_.icallTargets();
+    }
     /** Per-function CFG (lazy, cached). */
     const Cfg &cfg(FuncId func) const;
     /** Per-function dominator tree (lazy, cached). */
     const Dominators &dominators(FuncId func) const;
     /**
-     * The paper's BugDetector over this context's analyzer, with
-     * matching options (lazy). The five paper adapters call through
-     * it, which is what keeps Table 5 output bit-identical.
+     * The paper's BugDetector over this context's analyzer, built once
+     * in the constructor; it owns the slicer, order oracle,
+     * instruction index and icall targets above. The five paper
+     * adapters call through it, which is what keeps Table 5 output
+     * bit-identical.
      */
-    const BugDetector &paperDetector() const;
+    const BugDetector &paperDetector() const { return detector_; }
     /**
      * The interprocedural taint fixpoint over this context's analyzer
      * (lazy; shared by the addr-leak / taint-deref / format-string
      * checkers). Runs with the endpoint gate + barrier unless
-     * useTypes is off or options().taintNoType flips the ablation.
-     * The run's wall clock and flow counters are credited to the
-     * inference profile (taintSeconds / taintFlows / taintSuppressed).
+     * useTypes is off or the constructor's taintNoType flips the
+     * ablation. The run's wall clock and flow counters are credited to
+     * the inference profile (taintSeconds / taintFlows /
+     * taintSuppressed).
      */
     const taint::TaintResult &taint() const;
     /// @}
 
     /// @name Checker helpers.
     /// @{
-    /** Slice options mirroring BugDetector::sliceOptions. */
-    DataSlicer::Options sliceOptions(bool with_barrier) const;
+    /** Slice options: pruning and (optionally) the numeric barrier. */
+    DataSlicer::Options sliceOptions(bool with_barrier) const
+    {
+        return detector_.sliceOptions(with_barrier);
+    }
     /** Inference commits to "numeric" for v (barrier predicate). */
-    bool preciselyNumeric(ValueId v) const;
+    bool preciselyNumeric(ValueId v) const
+    {
+        return detector_.preciselyNumeric(v);
+    }
     /** Inference commits to "pointer" for v. */
     bool definitelyPtr(ValueId v) const;
     /** Function owning an instruction. */
@@ -119,7 +123,10 @@ class LintContext
     /** Build a diagnostic location for an instruction. */
     DiagLocation loc(InstId inst, std::string role) const;
     /** Call sites of externals with the given role, in id order. */
-    std::vector<InstId> externalCallsWithRole(ExternRole role) const;
+    std::vector<InstId> externalCallsWithRole(ExternRole role) const
+    {
+        return detector_.externalCallsWithRole(role);
+    }
     /**
      * Does instruction `a` dominate instruction `b`? False when they
      * live in different functions. Same-block: position order.
@@ -140,16 +147,12 @@ class LintContext
     Module &module_;
     const InferenceResult *inference_;
     const GroundTruth *truth_;
-    ContextOptions options_;
-    DataSlicer slicer_;
-    OrderOracle order_;
-    InstIndex instIndex_;
-    IcallResult icallTargets_;
+    bool taintNoType_;
+    BugDetector detector_;
     // Lazy, unsynchronized caches (single-threaded use; see header).
     mutable std::unordered_map<std::uint32_t, std::unique_ptr<Cfg>> cfgs_;
     mutable std::unordered_map<std::uint32_t, std::unique_ptr<Dominators>>
         doms_;
-    mutable std::unique_ptr<BugDetector> detector_;
     mutable std::unique_ptr<taint::TaintResult> taint_;
 };
 

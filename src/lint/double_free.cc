@@ -35,7 +35,6 @@ class DoubleFreeChecker final : public Checker
     run(const LintContext &ctx) const override
     {
         std::vector<Diagnostic> out;
-        Module &module = ctx.module();
         const std::vector<InstId> frees =
             ctx.externalCallsWithRole(ExternRole::Free);
 

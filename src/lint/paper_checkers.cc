@@ -3,11 +3,11 @@
  * The five paper checkers (Section 5.3, Table 5) as thin adapters
  * over clients/checkers.h.
  *
- * Each adapter calls the context's shared BugDetector (constructed
- * with exactly the options the evaluation harness uses) and converts
- * BugReports into Diagnostics one-for-one, so the Table 5 report
- * lists and metrics stay bit-identical to the pre-framework output —
- * asserted by LintPaperParity tests.
+ * Each adapter calls the context's shared BugDetector (built over the
+ * same analyzer and inference the evaluation harness's detectBugs
+ * uses) and converts BugReports into Diagnostics one-for-one, so the
+ * Table 5 report lists and metrics stay bit-identical to the
+ * pre-framework output — asserted by LintPaperParity tests.
  */
 #include "lint/checker.h"
 #include "lint/context.h"

@@ -13,8 +13,6 @@ LintResult
 runLint(MantaAnalyzer &analyzer, const InferenceResult *inference,
         const GroundTruth *truth, const LintOptions &options)
 {
-    registerBuiltinCheckers();
-
     const Timer total;
     LintResult result;
 
@@ -24,12 +22,10 @@ runLint(MantaAnalyzer &analyzer, const InferenceResult *inference,
         pruneInfeasibleDeps(analyzer.ddg(), *inference);
 
     {
-        ContextOptions ctx_opts;
-        ctx_opts.useTypes = inference != nullptr;
-        ctx_opts.maxVisited = options.maxVisited;
-        if (options.taintNoTypeOverride >= 0)
-            ctx_opts.taintNoType = options.taintNoTypeOverride != 0;
-        const LintContext ctx(analyzer, inference, truth, ctx_opts);
+        const bool taint_no_type = options.taintNoTypeOverride >= 0
+                                       ? options.taintNoTypeOverride != 0
+                                       : taint::defaultTaintNoType();
+        const LintContext ctx(analyzer, inference, truth, taint_no_type);
 
         DiagnosticEngine engine;
         engine.enableOnly(options.enabled);
@@ -38,8 +34,8 @@ runLint(MantaAnalyzer &analyzer, const InferenceResult *inference,
         if (!options.baselineText.empty())
             engine.loadBaseline(options.baselineText);
 
-        for (const std::unique_ptr<Checker> &checker :
-             CheckerRegistry::instance().createAll()) {
+        for (const CheckerFactory make_checker : builtinCheckers) {
+            const std::unique_ptr<Checker> checker = make_checker();
             CheckerStats stats;
             stats.id = checker->id();
             result.rules.push_back(SarifRule{checker->id(),

@@ -2,13 +2,13 @@
  * @file
  * runLint: the one-call entry point of the lint framework.
  *
- * Registers the built-in checkers, prunes the DDG exactly like the
- * evaluation harness's detectBugs (when a type source is given),
- * builds a LintContext, runs every enabled checker in id order with
- * per-checker wall-clock accounting, routes findings through the
- * DiagnosticEngine (dedup, enable/disable, baseline suppression) and
- * returns the deterministically sorted result. The DDG pruning is
- * restored before returning.
+ * Prunes the DDG exactly like the evaluation harness's detectBugs
+ * (when a type source is given), builds a LintContext, runs every
+ * enabled built-in checker in id order with per-checker wall-clock
+ * accounting, routes findings through the DiagnosticEngine (dedup,
+ * enable/disable, baseline suppression) and returns the
+ * deterministically sorted result. The DDG pruning is restored before
+ * returning.
  */
 #ifndef MANTA_LINT_RUN_H
 #define MANTA_LINT_RUN_H
@@ -23,8 +23,6 @@ namespace lint {
 /** Knobs of one runLint invocation. */
 struct LintOptions
 {
-    /** Slice budget per source (DetectorOptions::maxVisited). */
-    std::size_t maxVisited = 100000;
     /** Keep only these checker ids (empty = all). */
     std::vector<std::string> enabled;
     /** Drop these checker ids. */
@@ -56,7 +54,7 @@ struct LintResult
     std::vector<CheckerStats> perChecker;  ///< In checker-id order.
     double seconds = 0.0;                  ///< Total lint wall-clock.
 
-    /** Rule metadata for every registered checker (SARIF driver.rules). */
+    /** Rule metadata for every built-in checker (SARIF driver.rules). */
     std::vector<SarifRule> rules;
 };
 

@@ -42,15 +42,13 @@ BinarySession::analyze(const std::string &mir_text)
         return out;
     }
     makeAcyclic(*module);
-    return runAnalysis(std::move(module), hash, nullptr);
+    return runAnalysis(std::move(module), hash);
 }
 
 AnalyzeOutcome
 BinarySession::runAnalysis(std::unique_ptr<Module> module,
-                           std::uint64_t text_hash,
-                           const std::string *snapshot_text_error)
+                           std::uint64_t text_hash)
 {
-    (void)snapshot_text_error;
     Timer timer;
     AnalyzeOutcome out;
 

@@ -119,8 +119,7 @@ class BinarySession
 
   private:
     AnalyzeOutcome runAnalysis(std::unique_ptr<Module> module,
-                               std::uint64_t text_hash,
-                               const std::string *snapshot_text_error);
+                               std::uint64_t text_hash);
 
     std::string name_;
     HybridConfig config_;

@@ -33,12 +33,10 @@ class ClientTest : public ::testing::Test
     std::vector<BugReport>
     detect(CheckerKind kind, bool use_types)
     {
-        DetectorOptions opts;
-        opts.useTypes = use_types;
         if (use_types)
             pruneInfeasibleDeps(analyzer_->ddg(), *result_);
-        const BugDetector detector(
-            *analyzer_, use_types ? result_.get() : nullptr, opts);
+        const BugDetector detector(*analyzer_,
+                                   use_types ? result_.get() : nullptr);
         auto reports = detector.run(kind);
         analyzer_->ddg().resetPruning();
         return reports;
@@ -558,8 +556,7 @@ entry:
   ret
 }
 )");
-    DetectorOptions opts;
-    const BugDetector detector(*analyzer_, result_.get(), opts);
+    const BugDetector detector(*analyzer_, result_.get());
     const auto first = detector.runAll();
     const auto second = detector.runAll();
     ASSERT_EQ(first.size(), second.size());
@@ -594,8 +591,7 @@ entry:
   ret
 }
 )");
-    DetectorOptions opts;
-    const BugDetector detector(*analyzer_, result_.get(), opts);
+    const BugDetector detector(*analyzer_, result_.get());
     const auto all = detector.runAll();
     EXPECT_GE(all.size(), 2u); // CMI + BOF at least
 }

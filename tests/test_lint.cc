@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the lint framework (src/lint/, docs/LINT.md): the
- * registry and engine plumbing, SARIF serialization, bit-identical
+ * checker table and engine plumbing, SARIF serialization, bit-identical
  * parity between the paper checker adapters and the pre-framework
  * BugDetector, true-positive and type-assisted-suppression cases for
  * each of the five new checkers, and campaign determinism across
@@ -53,18 +53,15 @@ class LintTest : public ::testing::Test
 };
 
 // ---------------------------------------------------------------------
-// Registry and engine plumbing.
+// Checker table and engine plumbing.
 // ---------------------------------------------------------------------
 
 TEST(LintRegistry, ThirteenBuiltinCheckersSortedById)
 {
-    lint::registerBuiltinCheckers();
-    lint::registerBuiltinCheckers();  // Idempotent.
-    const auto checkers = lint::CheckerRegistry::instance().createAll();
-    ASSERT_EQ(checkers.size(), 13u);
     std::vector<std::string> ids;
-    for (const auto &c : checkers)
-        ids.push_back(c->id());
+    for (const lint::CheckerFactory make : lint::builtinCheckers)
+        ids.push_back(make()->id());
+    ASSERT_EQ(ids.size(), 13u);
     EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
     const std::vector<std::string> expected = {
         "addr-leak", "bof",  "cmi",          "double-free",
@@ -218,31 +215,64 @@ TEST(LintPaperParity, FrameworkMatchesBugDetectorOnGeneratedCorpus)
         PreparedProject project = prepareProject(profile);
         InferenceResult inference = project.analyzer->infer();
 
-        // Pre-framework Table 5 pipeline.
-        std::vector<ReportTuple> detector_tuples;
-        for (const BugReport &r : detectBugs(project, &inference)) {
-            detector_tuples.emplace_back(paperIdOf(r.kind),
-                                         r.sourceSite.raw(),
-                                         r.sinkSite.raw(), r.sinkTag);
-        }
+        // Typed leg, then the no-type ablation (ArgCount icall edges,
+        // no pruning, no barriers).
+        const InferenceResult *const legs[] = {&inference, nullptr};
+        for (const InferenceResult *types : legs) {
+            // Pre-framework Table 5 pipeline.
+            std::vector<ReportTuple> detector_tuples;
+            for (const BugReport &r : detectBugs(project, types)) {
+                detector_tuples.emplace_back(paperIdOf(r.kind),
+                                             r.sourceSite.raw(),
+                                             r.sinkSite.raw(), r.sinkTag);
+            }
 
-        // The same five checkers through the framework.
-        lint::LintOptions opts;
-        opts.enabled = paper_ids;
-        const lint::LintResult lr = lint::runLint(
-            *project.analyzer, &inference, &project.truth(), opts);
-        std::vector<ReportTuple> framework_tuples;
-        for (const lint::Diagnostic &d : lr.diagnostics) {
-            ASSERT_EQ(d.related.size(), 1u);
-            framework_tuples.emplace_back(d.checker,
-                                          d.related[0].inst.raw(),
-                                          d.primary.inst.raw(), d.srcTag);
-        }
+            // The same five checkers through the framework.
+            lint::LintOptions opts;
+            opts.enabled = paper_ids;
+            const lint::LintResult lr = lint::runLint(
+                *project.analyzer, types, &project.truth(), opts);
+            std::vector<ReportTuple> framework_tuples;
+            for (const lint::Diagnostic &d : lr.diagnostics) {
+                ASSERT_EQ(d.related.size(), 1u);
+                framework_tuples.emplace_back(d.checker,
+                                              d.related[0].inst.raw(),
+                                              d.primary.inst.raw(),
+                                              d.srcTag);
+            }
 
-        std::sort(detector_tuples.begin(), detector_tuples.end());
-        std::sort(framework_tuples.begin(), framework_tuples.end());
-        EXPECT_EQ(detector_tuples, framework_tuples)
-            << "seed " << seed << ": framework diverged from detector";
+            std::sort(detector_tuples.begin(), detector_tuples.end());
+            std::sort(framework_tuples.begin(), framework_tuples.end());
+            EXPECT_EQ(detector_tuples, framework_tuples)
+                << "seed " << seed << (types ? " typed" : " untyped")
+                << ": framework diverged from detector";
+        }
+    }
+}
+
+TEST_F(LintTest, ContextSharesTheDetectorWorld)
+{
+    // One context builds the slice world once: the paper adapters'
+    // detector and every other checker see the very same slicer,
+    // order oracle, instruction index and icall target sets.
+    load(R"(
+func @f(%x:64) {
+entry:
+  %v = load.8 %x
+  ret
+}
+)");
+    for (const bool use_types : {true, false}) {
+        const lint::LintContext ctx(*analyzer_,
+                                    use_types ? result_.get() : nullptr,
+                                    nullptr, /*taintNoType=*/false);
+        const BugDetector &detector = ctx.paperDetector();
+        EXPECT_EQ(&detector.slicer(), &ctx.slicer());
+        EXPECT_EQ(&detector.icallTargets(), &ctx.icallTargets());
+        EXPECT_EQ(&detector.order(), &ctx.order());
+        EXPECT_EQ(&detector.instIndex(), &ctx.instIndex());
+        EXPECT_EQ(detector.useTypes(), use_types);
+        EXPECT_EQ(ctx.useTypes(), use_types);
     }
 }
 

@@ -162,6 +162,17 @@ struct MalformedCase
     const char *expect;  ///< substring required in the diagnostic
 };
 
+/**
+ * gtest prints a test parameter into the listed test name; print the
+ * label, not the default byte dump (which holds the case's pointers
+ * and so changes from run to run under ASLR).
+ */
+void
+PrintTo(const MalformedCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class ParserRejects : public ::testing::TestWithParam<MalformedCase>
 {};
 
