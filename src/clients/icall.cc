@@ -61,69 +61,97 @@ IcallAnalysis::icallSites() const
     return sites;
 }
 
-IcallResult
-IcallAnalysis::run(IcallDiscipline discipline) const
-{
-    IcallResult result;
-    const auto candidates = module_.addressTakenFuncs();
-    for (const InstId site : icallSites()) {
-        std::vector<FuncId> feasible_targets;
-        for (const FuncId target : candidates) {
-            if (feasible(site, target, discipline))
-                feasible_targets.push_back(target);
-        }
-        result.targets.emplace(site, std::move(feasible_targets));
-    }
-    return result;
-}
+namespace {
 
+/** What the pair test needs of one address-taken callee. */
+struct CalleeTable
+{
+    FuncId func;
+    std::vector<int> paramWidths;      ///< One per declared parameter.
+    std::vector<TypeRef> paramLowers;  ///< F-down(par_i@entry).
+    std::vector<TypeRef> retUppers;    ///< F-up(ret@exit), block order.
+};
+
+/** What the pair test needs of one indirect call site. */
+struct SiteTable
+{
+    std::vector<int> argWidths;      ///< One per actual argument.
+    std::vector<TypeRef> argUppers;  ///< F-up(arg_i@s).
+    bool hasResult = false;
+    TypeRef resultLower;             ///< F-down(ret@s).
+};
+
+/**
+ * The feasibility rules of the file comment, in the order they have
+ * always been checked, over precomputed bounds. `with_types` is false
+ * under FullTypes without an inference result (every count-feasible
+ * target is kept).
+ */
 bool
-IcallAnalysis::feasible(InstId site, FuncId target,
-                        IcallDiscipline discipline) const
+feasible(const SiteTable &site, const CalleeTable &callee,
+         IcallDiscipline discipline, bool with_types, const TypeTable &tt)
 {
-    const Instruction &icall = module_.inst(site);
-    const Function &fn = module_.func(target);
-    const std::span<const ValueId> icall_ops = module_.operands(icall);
-    const std::size_t num_args = icall_ops.size() - 1; // operand0=target
-
+    const std::size_t num_params = callee.paramWidths.size();
     // Rule 1 (all disciplines): enough arguments are prepared.
-    if (num_args < fn.params.size())
+    if (site.argWidths.size() < num_params)
         return false;
 
     if (discipline == IcallDiscipline::ArgCount)
         return true;
 
     if (discipline == IcallDiscipline::ArgCountWidth) {
-        for (std::size_t i = 0; i < fn.params.size(); ++i) {
-            const int arg_width = module_.value(icall_ops[i + 1]).width;
-            const int par_width = module_.value(fn.params[i]).width;
-            if (arg_width < par_width)
+        for (std::size_t i = 0; i < num_params; ++i) {
+            if (site.argWidths[i] < callee.paramWidths[i])
                 return false;
         }
         return true;
     }
 
     // FullTypes: inferred-type compatibility.
-    if (inference_ == nullptr)
+    if (!with_types)
         return true;
-    TypeTable &tt = module_.types();
-    const InstId entry_inst =
-        fn.entry().valid() && !module_.block(fn.entry()).insts.empty()
-            ? module_.block(fn.entry()).insts.front()
-            : InstId::invalid();
-
-    for (std::size_t i = 0; i < fn.params.size(); ++i) {
-        const ValueId arg = icall_ops[i + 1];
-        const BoundPair arg_bp = inference_->siteBounds(arg, site);
-        const BoundPair par_bp =
-            inference_->siteBounds(fn.params[i], entry_inst);
+    for (std::size_t i = 0; i < num_params; ++i) {
         // F-up(arg@s) >: F-down(par@entry).
-        if (!tt.isSubtype(par_bp.lower, arg_bp.upper))
+        if (!tt.isSubtype(callee.paramLowers[i], site.argUppers[i]))
             return false;
     }
-
     // Return-type check: F-up(ret_f@exit) >: F-down(ret@s).
-    if (icall.result.valid()) {
+    if (site.hasResult) {
+        for (const TypeRef ret_upper : callee.retUppers) {
+            if (!tt.isSubtype(site.resultLower, ret_upper))
+                return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
+
+IcallResult
+IcallAnalysis::run(IcallDiscipline discipline) const
+{
+    const bool with_types =
+        discipline == IcallDiscipline::FullTypes && inference_ != nullptr;
+
+    // Each callee's and each site's bounds are looked up once here,
+    // not once per (site, callee) pair.
+    std::vector<CalleeTable> callees;
+    for (const FuncId target : module_.addressTakenFuncs()) {
+        const Function &fn = module_.func(target);
+        CalleeTable &callee = callees.emplace_back();
+        callee.func = target;
+        for (const ValueId param : fn.params)
+            callee.paramWidths.push_back(module_.value(param).width);
+        if (!with_types)
+            continue;
+        const InstId entry_inst =
+            fn.entry().valid() && !module_.block(fn.entry()).insts.empty()
+                ? module_.block(fn.entry()).insts.front()
+                : InstId::invalid();
+        for (const ValueId param : fn.params) {
+            callee.paramLowers.push_back(
+                inference_->siteBounds(param, entry_inst).lower);
+        }
         for (const BlockId bid : fn.blocks) {
             const BasicBlock &bb = module_.block(bid);
             if (bb.insts.empty())
@@ -131,14 +159,43 @@ IcallAnalysis::feasible(InstId site, FuncId target,
             const Instruction &term = module_.inst(bb.insts.back());
             if (term.op != Opcode::Ret || term.numOperands() == 0)
                 continue;
-            const BoundPair ret_f = inference_->siteBounds(
-                module_.operand(term, 0), bb.insts.back());
-            const BoundPair ret_s = inference_->siteBounds(icall.result, site);
-            if (!tt.isSubtype(ret_s.lower, ret_f.upper))
-                return false;
+            callee.retUppers.push_back(
+                inference_
+                    ->siteBounds(module_.operand(term, 0), bb.insts.back())
+                    .upper);
         }
     }
-    return true;
+
+    IcallResult result;
+    const TypeTable &tt = module_.types();
+    for (const InstId site_id : icallSites()) {
+        const Instruction &icall = module_.inst(site_id);
+        // Operand 0 is the call target; the rest are the arguments.
+        const std::span<const ValueId> args =
+            module_.operands(icall).subspan(1);
+        SiteTable site;
+        for (const ValueId arg : args)
+            site.argWidths.push_back(module_.value(arg).width);
+        if (with_types) {
+            for (const ValueId arg : args) {
+                site.argUppers.push_back(
+                    inference_->siteBounds(arg, site_id).upper);
+            }
+            site.hasResult = icall.result.valid();
+            if (site.hasResult) {
+                site.resultLower =
+                    inference_->siteBounds(icall.result, site_id).lower;
+            }
+        }
+
+        std::vector<FuncId> feasible_targets;
+        for (const CalleeTable &callee : callees) {
+            if (feasible(site, callee, discipline, with_types, tt))
+                feasible_targets.push_back(callee.func);
+        }
+        result.targets.emplace(site_id, std::move(feasible_targets));
+    }
+    return result;
 }
 
 } // namespace manta

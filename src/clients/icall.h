@@ -68,16 +68,17 @@ class IcallAnalysis
         : module_(module), inference_(inference)
     {}
 
-    /** Compute feasible targets for every indirect call site. */
+    /**
+     * Compute feasible targets for every indirect call site. Each
+     * candidate's and each site's bounds are read once, so the cost
+     * is the module scan plus sites x candidates table comparisons.
+     */
     IcallResult run(IcallDiscipline discipline) const;
 
     /** All indirect call sites in the module. */
     std::vector<InstId> icallSites() const;
 
   private:
-    bool feasible(InstId site, FuncId target,
-                  IcallDiscipline discipline) const;
-
     Module &module_;
     const InferenceResult *inference_;
 };

@@ -9,19 +9,6 @@
 namespace manta {
 namespace lint {
 
-namespace {
-
-/** One project's lint outcome (indexed harness slot). */
-struct ProjectOutcome
-{
-    std::string name;
-    std::vector<Diagnostic> diags;      ///< Tool (hybrid inference).
-    std::vector<Diagnostic> refDiags;   ///< Oracle-typed reference.
-    std::vector<CheckerStats> perChecker;
-    std::vector<SarifRule> rules;
-};
-
-/** The lint benchmark corpus: small, bug- and decoy-salted projects. */
 std::vector<ProjectProfile>
 campaignCorpus(const LintCampaignOptions &options)
 {
@@ -45,6 +32,18 @@ campaignCorpus(const LintCampaignOptions &options)
     }
     return profiles;
 }
+
+namespace {
+
+/** One project's lint outcome (indexed harness slot). */
+struct ProjectOutcome
+{
+    std::string name;
+    std::vector<Diagnostic> diags;      ///< Tool (hybrid inference).
+    std::vector<Diagnostic> refDiags;   ///< Oracle-typed reference.
+    std::vector<CheckerStats> perChecker;
+    std::vector<SarifRule> rules;
+};
 
 /** Identity of a finding for tool-vs-reference matching. */
 std::string

@@ -15,6 +15,7 @@
 #ifndef MANTA_LINT_CAMPAIGN_H
 #define MANTA_LINT_CAMPAIGN_H
 
+#include "frontend/corpus.h"
 #include "lint/run.h"
 
 namespace manta {
@@ -71,6 +72,13 @@ struct LintCampaignResult
     std::size_t totalDiagnostics = 0;
     std::vector<LintCheckerSummary> checkers;  ///< In checker-id order.
 };
+
+/**
+ * The campaign's corpus: `count` small bug- and decoy-salted
+ * projects from consecutive seeds starting at `seed`.
+ */
+std::vector<ProjectProfile>
+campaignCorpus(const LintCampaignOptions &options);
 
 /** Run the campaign (parallel, deterministic; see file comment). */
 LintCampaignResult runLintCampaign(const LintCampaignOptions &options);

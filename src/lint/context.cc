@@ -7,7 +7,9 @@ LintContext::LintContext(MantaAnalyzer &analyzer,
                          const InferenceResult *inference,
                          const GroundTruth *truth, bool taintNoType)
     : analyzer_(analyzer), module_(analyzer.module()), inference_(inference),
-      truth_(truth), taintNoType_(taintNoType), detector_(analyzer, inference)
+      truth_(truth), taintNoType_(taintNoType),
+      detector_(analyzer, inference),
+      index_(module_, analyzer.pts(), analyzer.memObjects())
 {}
 
 const Cfg &

@@ -6,9 +6,9 @@
  * (optional) inference result, the points-to/DDG/CFG substrates, the
  * paper's BugDetector (which owns the one slicer with icall edges
  * bound, the order oracle, the instruction index and the icall target
- * sets), and the optional frontend ground truth (origin tags,
- * slot-recycling map). Per-function CFGs and dominator trees are
- * built lazily and cached.
+ * sets), the LintIndex (stores by object, escaped objects), and the
+ * optional frontend ground truth (origin tags, slot-recycling map).
+ * Per-function CFGs and dominator trees are built lazily and cached.
  *
  * Threading: a LintContext is NOT thread-safe (the lazy caches are
  * unsynchronized). The parallel lint driver builds one context per
@@ -25,6 +25,7 @@
 #include "clients/checkers.h"
 #include "frontend/groundtruth.h"
 #include "lint/diagnostic.h"
+#include "lint/index.h"
 #include "taint/taint.h"
 
 namespace manta {
@@ -78,6 +79,12 @@ class LintContext
     {
         return detector_.icallTargets();
     }
+    /**
+     * Stores by written object and the escaped-object set, built in
+     * the constructor by one pass over the module. Checkers look
+     * facts up here instead of rescanning the module per item.
+     */
+    const LintIndex &index() const { return index_; }
     /** Per-function CFG (lazy, cached). */
     const Cfg &cfg(FuncId func) const;
     /** Per-function dominator tree (lazy, cached). */
@@ -149,6 +156,7 @@ class LintContext
     const GroundTruth *truth_;
     bool taintNoType_;
     BugDetector detector_;
+    LintIndex index_;
     // Lazy, unsynchronized caches (single-threaded use; see header).
     mutable std::unordered_map<std::uint32_t, std::unique_ptr<Cfg>> cfgs_;
     mutable std::unordered_map<std::uint32_t, std::unique_ptr<Dominators>>

@@ -128,7 +128,8 @@ class DoubleFreeChecker final : public Checker
      * Load from some slot, a store into that slot which may execute
      * between the two frees and whose payload no longer points at the
      * shared allocation re-points the slot, so the second free
-     * releases a different object.
+     * releases a different object. Only the stores the LintIndex
+     * files under the slot's objects are candidates.
      */
     static bool
     reassignedBetween(const LintContext &ctx, InstId first, InstId second,
@@ -143,39 +144,25 @@ class DoubleFreeChecker final : public Checker
             return false;
         const LocSet &slot = ctx.pts().locs(module.operand(def, 0));
 
-        for (std::size_t i = 0; i < module.numInsts(); ++i) {
-            const InstId iid(static_cast<InstId::RawType>(i));
-            const Instruction &inst = module.inst(iid);
-            if (inst.op != Opcode::Store || iid == first || iid == second)
-                continue;
-            if (!ctx.order().mayPrecede(first, iid) ||
-                    !ctx.order().mayPrecede(iid, second)) {
-                continue;
-            }
-            bool writes_slot = false;
-            for (const Loc &addr :
-                 ctx.pts().locs(module.operand(inst, 0))) {
-                for (const Loc &s : slot) {
-                    if (Loc::mayOverlap(addr, s)) {
-                        writes_slot = true;
+        for (const Loc &s : slot) {
+            for (const StoreRef &ref : ctx.index().storesTo(s.obj)) {
+                if (!Loc::mayOverlap(ref.loc, s))
+                    continue;
+                if (!ctx.order().mayPrecede(first, ref.store) ||
+                    !ctx.order().mayPrecede(ref.store, second)) {
+                    continue;
+                }
+                bool payload_still_shared = false;
+                for (const Loc &p :
+                     ctx.pts().locs(module.operand(ref.store, 1))) {
+                    if (Loc::mayOverlap(p, shared)) {
+                        payload_still_shared = true;
                         break;
                     }
                 }
-                if (writes_slot)
-                    break;
+                if (!payload_still_shared)
+                    return true;
             }
-            if (!writes_slot)
-                continue;
-            bool payload_still_shared = false;
-            for (const Loc &p :
-                 ctx.pts().locs(module.operand(inst, 1))) {
-                if (Loc::mayOverlap(p, shared)) {
-                    payload_still_shared = true;
-                    break;
-                }
-            }
-            if (!payload_still_shared)
-                return true;
         }
         return false;
     }

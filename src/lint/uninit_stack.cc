@@ -6,7 +6,9 @@
  * owned by the loading function, the checker looks for a store into
  * that object which dominates the load. Loads with no dominating
  * store are reported unless the slot's address escapes the function
- * (a callee or an aliasing store could initialize it).
+ * (a callee or an aliasing store could initialize it). Both the
+ * stores and the escape test come from the context's LintIndex, so
+ * the checker costs one lookup per load, not one module scan.
  *
  * Type assistance adds two suppressions: (1) when the field-sensitive
  * unification committed the loaded field to a type, some reaching use
@@ -59,16 +61,19 @@ class UninitStackChecker final : public Checker
 
             bool store_dominates = false;
             bool store_anywhere = false;
-            for (const InstId store : storesInto(ctx, target)) {
+            for (const StoreRef &ref : ctx.index().storesTo(target.obj)) {
+                if (!Loc::mayOverlap(ref.loc, target))
+                    continue;
                 store_anywhere = true;
-                if (ctx.dominatesInst(store, iid)) {
+                if (ctx.dominatesInst(ref.store, iid)) {
                     store_dominates = true;
                     break;
                 }
             }
             if (store_dominates)
                 continue;
-            if (addressEscapes(ctx, target.obj))
+            // An escaped slot may be initialized behind our back.
+            if (ctx.index().escaped(target.obj))
                 continue;
 
             if (ctx.useTypes()) {
@@ -104,60 +109,6 @@ class UninitStackChecker final : public Checker
     }
 
   private:
-    /** Stores whose address may write the target location. */
-    static std::vector<InstId>
-    storesInto(const LintContext &ctx, const Loc &target)
-    {
-        std::vector<InstId> stores;
-        Module &module = ctx.module();
-        for (std::size_t i = 0; i < module.numInsts(); ++i) {
-            const InstId iid(static_cast<InstId::RawType>(i));
-            const Instruction &inst = module.inst(iid);
-            if (inst.op != Opcode::Store)
-                continue;
-            for (const Loc &loc :
-                 ctx.pts().locs(module.operand(inst, 0))) {
-                if (Loc::mayOverlap(loc, target)) {
-                    stores.push_back(iid);
-                    break;
-                }
-            }
-        }
-        return stores;
-    }
-
-    /**
-     * True when the slot's address leaves the function: passed to any
-     * call, stored as a payload, or returned. An escaped slot may be
-     * initialized behind our back.
-     */
-    static bool
-    addressEscapes(const LintContext &ctx, ObjectId obj)
-    {
-        Module &module = ctx.module();
-        const auto points_at = [&](ValueId v) {
-            for (const Loc &loc : ctx.pts().locs(v)) {
-                if (loc.obj == obj)
-                    return true;
-            }
-            return false;
-        };
-        for (std::size_t i = 0; i < module.numInsts(); ++i) {
-            const InstId iid(static_cast<InstId::RawType>(i));
-            const Instruction &inst = module.inst(iid);
-            if (inst.isCall() || inst.op == Opcode::Ret) {
-                for (const ValueId arg : module.operands(inst)) {
-                    if (points_at(arg))
-                        return true;
-                }
-            } else if (inst.op == Opcode::Store &&
-                       points_at(module.operand(inst, 1))) {
-                return true;
-            }
-        }
-        return false;
-    }
-
     /** Did field-sensitive unification commit the loaded field? */
     static bool
     fieldCommitted(const LintContext &ctx, const Loc &target)

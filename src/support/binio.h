@@ -75,6 +75,8 @@ class ByteWriter
     void
     blob(const void *data, std::size_t n)
     {
+        if (n == 0)
+            return;  // An empty pool's data() may be null.
         bytes_.append(static_cast<const char *>(data), n);
     }
 
@@ -188,6 +190,8 @@ class ByteReader
     {
         if (!need(n))
             return false;
+        if (n == 0)
+            return true;  // An empty pool's data() may be null.
         std::memcpy(dst, data_ + pos_, n);
         pos_ += n;
         return true;

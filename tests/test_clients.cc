@@ -12,6 +12,8 @@
 #include "clients/ddg_prune.h"
 #include "clients/icall.h"
 #include "core/pipeline.h"
+#include "eval/harness.h"
+#include "frontend/corpus.h"
 #include "mir/parser.h"
 
 namespace manta {
@@ -144,6 +146,102 @@ TEST_F(ClientTest, WidthDisciplineBetweenCountAndTypes)
         analysis.run(IcallDiscipline::FullTypes).aict();
     EXPECT_LE(type_aict, width_aict);
     EXPECT_LE(width_aict, count_aict);
+}
+
+// The per-(site, target) feasibility test IcallAnalysis ran before it
+// tabulated bounds per callee and per site, kept as the reference the
+// tables must reproduce.
+bool
+perPairFeasible(const Module &module, const InferenceResult *inference,
+                InstId site, FuncId target, IcallDiscipline discipline)
+{
+    const Instruction &icall = module.inst(site);
+    const Function &fn = module.func(target);
+    const std::span<const ValueId> icall_ops = module.operands(icall);
+    const std::size_t num_args = icall_ops.size() - 1;
+    if (num_args < fn.params.size())
+        return false;
+    if (discipline == IcallDiscipline::ArgCount)
+        return true;
+    if (discipline == IcallDiscipline::ArgCountWidth) {
+        for (std::size_t i = 0; i < fn.params.size(); ++i) {
+            if (module.value(icall_ops[i + 1]).width <
+                module.value(fn.params[i]).width) {
+                return false;
+            }
+        }
+        return true;
+    }
+    if (inference == nullptr)
+        return true;
+    const TypeTable &tt = module.types();
+    const InstId entry_inst =
+        fn.entry().valid() && !module.block(fn.entry()).insts.empty()
+            ? module.block(fn.entry()).insts.front()
+            : InstId::invalid();
+    for (std::size_t i = 0; i < fn.params.size(); ++i) {
+        const BoundPair arg_bp = inference->siteBounds(icall_ops[i + 1], site);
+        const BoundPair par_bp =
+            inference->siteBounds(fn.params[i], entry_inst);
+        if (!tt.isSubtype(par_bp.lower, arg_bp.upper))
+            return false;
+    }
+    if (icall.result.valid()) {
+        for (const BlockId bid : fn.blocks) {
+            const BasicBlock &bb = module.block(bid);
+            if (bb.insts.empty())
+                continue;
+            const Instruction &term = module.inst(bb.insts.back());
+            if (term.op != Opcode::Ret || term.numOperands() == 0)
+                continue;
+            const BoundPair ret_f = inference->siteBounds(
+                module.operand(term, 0), bb.insts.back());
+            const BoundPair ret_s = inference->siteBounds(icall.result, site);
+            if (!tt.isSubtype(ret_s.lower, ret_f.upper))
+                return false;
+        }
+    }
+    return true;
+}
+
+TEST_F(ClientTest, IcallTablesMatchPerPairReference)
+{
+    std::size_t sites = 0;
+    std::size_t pruned = 0;
+    for (const ProjectProfile &profile : standardCorpus()) {
+        PreparedProject project = prepareProject(profile);
+        const InferenceResult inference = project.analyzer->infer();
+        const Module &module = project.module();
+        const auto candidates = module.addressTakenFuncs();
+        const InferenceResult *const legs[] = {&inference, nullptr};
+        for (const InferenceResult *types : legs) {
+            const IcallAnalysis analysis(project.module(), types);
+            for (const IcallDiscipline discipline :
+                 {IcallDiscipline::ArgCount, IcallDiscipline::ArgCountWidth,
+                  IcallDiscipline::FullTypes}) {
+                IcallResult reference;
+                for (const InstId site : analysis.icallSites()) {
+                    std::vector<FuncId> feasible;
+                    for (const FuncId target : candidates) {
+                        if (perPairFeasible(module, types, site, target,
+                                            discipline)) {
+                            feasible.push_back(target);
+                        }
+                    }
+                    pruned += candidates.size() - feasible.size();
+                    reference.targets.emplace(site, std::move(feasible));
+                }
+                sites += reference.numSites();
+                EXPECT_EQ(analysis.run(discipline).targets,
+                          reference.targets)
+                    << profile.name << (types ? " typed" : " untyped")
+                    << " discipline " << static_cast<int>(discipline);
+            }
+        }
+    }
+    // Non-vacuous: there are sites, and some candidates are rejected.
+    EXPECT_GT(sites, 0u);
+    EXPECT_GT(pruned, 0u);
 }
 
 // ---------------------------------------------------------------------
