@@ -24,7 +24,8 @@ checkerName(CheckerKind kind)
 BugDetector::BugDetector(MantaAnalyzer &analyzer,
                          const InferenceResult *inference)
     : module_(analyzer.module()), analyzer_(analyzer), inference_(inference),
-      slicer_(module_, analyzer.ddg()), order_(module_), instIndex_(module_),
+      slicer_(module_, analyzer.ddg()), instIndex_(module_),
+      order_(module_, instIndex_),
       // Model indirect calls: with types the feasible set comes from
       // the type-based analysis; without, every address-taken function
       // with a compatible argument count is a target.

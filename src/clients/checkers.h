@@ -72,6 +72,10 @@ class BugDetector
      */
     BugDetector(MantaAnalyzer &analyzer, const InferenceResult *inference);
 
+    // order_ borrows instIndex_; a copy would point into the source.
+    BugDetector(const BugDetector &) = delete;
+    BugDetector &operator=(const BugDetector &) = delete;
+
     /** Run one checker. */
     std::vector<BugReport> run(CheckerKind kind) const;
 
@@ -107,8 +111,8 @@ class BugDetector
     MantaAnalyzer &analyzer_;
     const InferenceResult *inference_;
     DataSlicer slicer_;
-    OrderOracle order_;
     InstIndex instIndex_;
+    OrderOracle order_; ///< Borrows instIndex_.
     IcallResult icallTargets_;
 };
 

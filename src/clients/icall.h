@@ -48,9 +48,9 @@ class DataSlicer;
 /**
  * Bind indirect-call data flow into a slicer: for every feasible
  * (site, target) pair, connect actual arguments to the target's formal
- * parameters and the target's returns to the call result. Shared by
- * the BugDetector and the lint framework so both model indirect calls
- * with exactly the same edges.
+ * parameters and the target's returns to the call result. Called once
+ * per BugDetector, whose slicer the lint framework borrows, so paper
+ * checkers and lint checkers see exactly the same edges.
  */
 void bindIcallTargets(DataSlicer &slicer, const Module &module,
                       const IcallResult &targets);

@@ -101,8 +101,8 @@ DataSlicer::forwardSlice(ValueId source, const Options &options) const
     return slice;
 }
 
-OrderOracle::OrderOracle(const Module &module)
-    : module_(module), index_(module)
+OrderOracle::OrderOracle(const Module &module, const InstIndex &index)
+    : module_(module), index_(index)
 {}
 
 bool

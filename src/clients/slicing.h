@@ -68,18 +68,19 @@ class DataSlicer
  * Lightweight may-happen-before: can execution reach `later` after
  * executing `earlier`? Exact (DAG reachability) within one function;
  * conservatively true across functions. Used to validate event
- * ordering (e.g. use after free).
+ * ordering (e.g. use after free). Borrows the caller's InstIndex of
+ * the same module, which must outlive the oracle.
  */
 class OrderOracle
 {
   public:
-    explicit OrderOracle(const Module &module);
+    OrderOracle(const Module &module, const InstIndex &index);
 
     bool mayPrecede(InstId earlier, InstId later) const;
 
   private:
     const Module &module_;
-    InstIndex index_;
+    const InstIndex &index_;
     // Block-level reachability cache per function.
     mutable std::unordered_map<std::uint32_t,
                                std::unordered_set<std::uint64_t>>

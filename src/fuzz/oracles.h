@@ -43,8 +43,9 @@
  *                 - a serve-layer session snapshot (docs/SERVING.md)
  *                   restores into a fresh session whose rendered
  *                   types/lint/icall artifacts are byte-identical to
- *                   the saving session's, and a corrupted snapshot is
- *                   rejected with a clean cold fallback.
+ *                   the saving session's, a corrupted snapshot is
+ *                   rejected with a clean cold fallback, and the MIR
+ *                   pool codec reprints the module identically.
  * 10. engine_diff - the polymorphic subtyping core (MANTA_INFER=subtype)
  *                   agrees with the unification core at FI: on every
  *                   variable both engines solved, the subtype interval

@@ -394,7 +394,7 @@ class Module
     /** Iterate function ids 0..n-1. */
     std::vector<FuncId> funcIds() const;
 
-    /// @name Raw pool access (snapshot codec, benchmarks).
+    /// @name Raw pool access (snapshot codec).
     /// @{
     const std::vector<Value> &valuePool() const { return values_; }
     const std::vector<Instruction> &instPool() const { return insts_; }

@@ -30,8 +30,8 @@ idOk(Id<Tag> id, std::size_t pool_size)
 
 /**
  * Externals reference interned types; pool them first so the decoder
- * can rebuild the TypeTable before the externs pool. Shared by both
- * codecs - extern signatures are small and structural either way.
+ * can rebuild the TypeTable before the externs pool. Extern signatures
+ * are small and structural, so they are written element-wise.
  */
 void
 writeTypesAndExterns(const Module &module, ByteWriter &out)
@@ -90,7 +90,6 @@ readTypesAndExterns(ByteReader &in, Module &out)
  * Cross-pool id validation: every stored id must be the invalid
  * sentinel or index into its (now fully sized) pool. This keeps a
  * corrupted-but-well-framed snapshot from crashing later passes.
- * Shared by both codecs.
  */
 bool
 validateModuleIds(const Module &out)
@@ -184,193 +183,22 @@ getPool(ByteReader &in, std::vector<T> &pool)
     return in.blob(pool.data(), count * sizeof(T));
 }
 
-/** Host byte-order marker: pool dumps are host-endian by design. */
+/**
+ * Host byte-order marker: pool dumps are host-endian by design, so the
+ * mark is dumped in host order too (a blob, not the little-endian
+ * u32) and reads back equal only on a host of the same byte order.
+ */
 constexpr std::uint32_t kEndianMark = 0x01020304u;
 
 } // namespace
 
 void
-serializeModule(const Module &module, ByteWriter &out)
-{
-    writeTypesAndExterns(module, out);
-
-    out.u32(static_cast<std::uint32_t>(module.numGlobals()));
-    for (std::size_t i = 0; i < module.numGlobals(); ++i) {
-        const Global &g =
-            module.global(GlobalId(static_cast<std::uint32_t>(i)));
-        out.str(module.str(g.name));
-        out.u32(g.sizeBytes);
-        out.u8(g.isStringLiteral ? 1 : 0);
-        out.str(g.stringValue);
-    }
-
-    out.u32(static_cast<std::uint32_t>(module.numFuncs()));
-    for (std::size_t i = 0; i < module.numFuncs(); ++i) {
-        const Function &f = module.func(FuncId(static_cast<std::uint32_t>(i)));
-        out.str(module.str(f.name));
-        out.u32(static_cast<std::uint32_t>(f.params.size()));
-        for (const ValueId p : f.params)
-            putId(out, p);
-        out.u32(static_cast<std::uint32_t>(f.blocks.size()));
-        for (const BlockId b : f.blocks)
-            putId(out, b);
-        out.u8(f.addressTaken ? 1 : 0);
-        out.u8(f.isVariadicStub ? 1 : 0);
-    }
-
-    out.u32(static_cast<std::uint32_t>(module.numBlocks()));
-    for (std::size_t i = 0; i < module.numBlocks(); ++i) {
-        const BasicBlock &b =
-            module.block(BlockId(static_cast<std::uint32_t>(i)));
-        putId(out, b.func);
-        out.str(module.str(b.name));
-        out.u32(static_cast<std::uint32_t>(b.insts.size()));
-        for (const InstId inst : b.insts)
-            putId(out, inst);
-    }
-
-    out.u32(static_cast<std::uint32_t>(module.numValues()));
-    for (std::size_t i = 0; i < module.numValues(); ++i) {
-        const Value &v = module.value(ValueId(static_cast<std::uint32_t>(i)));
-        out.u8(static_cast<std::uint8_t>(v.kind));
-        out.u8(v.width);
-        out.i64(v.constValue);
-        out.u32(v.argIndex);
-        putId(out, v.argFunc);
-        putId(out, v.inst);
-        putId(out, v.global);
-        putId(out, v.funcAddr);
-        out.str(module.str(v.name));
-    }
-
-    out.u32(static_cast<std::uint32_t>(module.numInsts()));
-    for (std::size_t i = 0; i < module.numInsts(); ++i) {
-        const Instruction &inst =
-            module.inst(InstId(static_cast<std::uint32_t>(i)));
-        out.u8(static_cast<std::uint8_t>(inst.op));
-        putId(out, inst.result);
-        const std::span<const ValueId> ops = module.operands(inst);
-        out.u32(static_cast<std::uint32_t>(ops.size()));
-        for (const ValueId op : ops)
-            putId(out, op);
-        putId(out, inst.callee);
-        putId(out, inst.external);
-        putId(out, inst.thenBlock);
-        putId(out, inst.elseBlock);
-        const std::span<const BlockId> phis = module.phiBlocks(inst);
-        out.u32(static_cast<std::uint32_t>(phis.size()));
-        for (const BlockId b : phis)
-            putId(out, b);
-        out.u32(inst.allocaSize);
-        out.u8(static_cast<std::uint8_t>(inst.pred));
-        putId(out, inst.parent);
-        out.u32(inst.srcTag);
-    }
-}
-
-bool
-deserializeModule(ByteReader &in, Module &out)
-{
-    if (!readTypesAndExterns(in, out))
-        return false;
-
-    const std::uint32_t num_globals = in.u32();
-    for (std::uint32_t i = 0; i < num_globals && in.ok(); ++i) {
-        Global g;
-        g.name = out.internName(in.str());
-        g.sizeBytes = in.u32();
-        g.isStringLiteral = in.u8() != 0;
-        g.stringValue = in.str();
-        out.addGlobal(std::move(g));
-    }
-
-    const std::uint32_t num_funcs = in.u32();
-    for (std::uint32_t i = 0; i < num_funcs && in.ok(); ++i) {
-        Function f;
-        f.name = out.internName(in.str());
-        const std::uint32_t num_params = in.u32();
-        for (std::uint32_t p = 0; p < num_params && in.ok(); ++p)
-            f.params.push_back(getId<ValueTag>(in));
-        const std::uint32_t num_blocks = in.u32();
-        for (std::uint32_t b = 0; b < num_blocks && in.ok(); ++b)
-            f.blocks.push_back(getId<BlockTag>(in));
-        f.addressTaken = in.u8() != 0;
-        f.isVariadicStub = in.u8() != 0;
-        if (!in.ok())
-            break;
-        out.addFunc(std::move(f));
-    }
-
-    const std::uint32_t num_blocks = in.u32();
-    for (std::uint32_t i = 0; i < num_blocks && in.ok(); ++i) {
-        BasicBlock b;
-        b.func = getId<FuncTag>(in);
-        b.name = out.internName(in.str());
-        const std::uint32_t num_insts = in.u32();
-        for (std::uint32_t k = 0; k < num_insts && in.ok(); ++k)
-            b.insts.push_back(getId<InstTag>(in));
-        if (!in.ok())
-            break;
-        out.addBlock(std::move(b));
-    }
-
-    const std::uint32_t num_values = in.u32();
-    for (std::uint32_t i = 0; i < num_values && in.ok(); ++i) {
-        Value v;
-        v.kind = static_cast<ValueKind>(in.u8());
-        v.width = in.u8();
-        v.constValue = in.i64();
-        v.argIndex = in.u32();
-        v.argFunc = getId<FuncTag>(in);
-        v.inst = getId<InstTag>(in);
-        v.global = getId<GlobalTag>(in);
-        v.funcAddr = getId<FuncTag>(in);
-        v.name = out.internName(in.str());
-        if (!in.ok())
-            break;
-        out.addValue(v);
-    }
-
-    const std::uint32_t num_insts = in.u32();
-    std::vector<ValueId> ops;
-    std::vector<BlockId> phis;
-    for (std::uint32_t i = 0; i < num_insts && in.ok(); ++i) {
-        Instruction inst;
-        inst.op = static_cast<Opcode>(in.u8());
-        inst.result = getId<ValueTag>(in);
-        const std::uint32_t num_operands = in.u32();
-        ops.clear();
-        for (std::uint32_t k = 0; k < num_operands && in.ok(); ++k)
-            ops.push_back(getId<ValueTag>(in));
-        inst.callee = getId<FuncTag>(in);
-        inst.external = getId<ExternTag>(in);
-        inst.thenBlock = getId<BlockTag>(in);
-        inst.elseBlock = getId<BlockTag>(in);
-        const std::uint32_t num_phi = in.u32();
-        phis.clear();
-        for (std::uint32_t k = 0; k < num_phi && in.ok(); ++k)
-            phis.push_back(getId<BlockTag>(in));
-        inst.allocaSize = in.u32();
-        inst.pred = static_cast<CmpPred>(in.u8());
-        inst.parent = getId<BlockTag>(in);
-        inst.srcTag = in.u32();
-        if (!in.ok())
-            break;
-        out.addInst(inst, ops, phis);
-    }
-    if (!in.ok())
-        return false;
-
-    return validateModuleIds(out);
-}
-
-void
 serializeModulePools(const Module &module, ByteWriter &out)
 {
     // Layout header: the pool dump is host-endian and layout-exact, so
-    // the loader rejects (and the caller falls back to the element-wise
-    // codec / cold analysis) on any record-shape mismatch.
-    out.u32(kEndianMark);
+    // the loader rejects (and the caller re-analyzes cold) on any
+    // record-shape mismatch.
+    out.blob(&kEndianMark, sizeof kEndianMark);
     out.u32(static_cast<std::uint32_t>(sizeof(Value)));
     out.u32(static_cast<std::uint32_t>(sizeof(Instruction)));
     out.u32(static_cast<std::uint32_t>(sizeof(NameSpan)));
@@ -419,27 +247,36 @@ serializeModulePools(const Module &module, ByteWriter &out)
     putPool(out, module.phiPool());
 }
 
-bool
+PoolDecode
 deserializeModulePools(ByteReader &in, Module &out)
 {
-    if (in.u32() != kEndianMark || in.u32() != sizeof(Value) ||
-            in.u32() != sizeof(Instruction) ||
-            in.u32() != sizeof(NameSpan)) {
-        return false;
+    std::uint32_t mark = 0;
+    in.blob(&mark, sizeof mark);
+    const std::uint32_t value_size = in.u32();
+    const std::uint32_t inst_size = in.u32();
+    const std::uint32_t span_size = in.u32();
+    if (!in.ok())
+        return PoolDecode::Malformed;
+    if (mark != kEndianMark || value_size != sizeof(Value) ||
+            inst_size != sizeof(Instruction) ||
+            span_size != sizeof(NameSpan)) {
+        return PoolDecode::LayoutMismatch;
     }
 
     const std::uint32_t arena_bytes = in.u32();
+    if (in.remaining() < arena_bytes)
+        return PoolDecode::Malformed;
     std::vector<char> arena(arena_bytes);
     if (!in.blob(arena.data(), arena_bytes))
-        return false;
+        return PoolDecode::Malformed;
     std::vector<NameSpan> spans;
     if (!getPool(in, spans))
-        return false;
+        return PoolDecode::Malformed;
     if (!out.names().adopt(std::move(arena), std::move(spans)))
-        return false;
+        return PoolDecode::Malformed;
 
     if (!readTypesAndExterns(in, out))
-        return false;
+        return PoolDecode::Malformed;
     // The externs codec re-interns spellings; with the adopted arena in
     // place those interns are pure lookups, so handles stay stable.
 
@@ -476,7 +313,7 @@ deserializeModulePools(ByteReader &in, Module &out)
         out.addBlock(std::move(b));
     }
     if (!in.ok())
-        return false;
+        return PoolDecode::Malformed;
 
     std::vector<Value> values;
     std::vector<Instruction> insts;
@@ -484,14 +321,14 @@ deserializeModulePools(ByteReader &in, Module &out)
     std::vector<BlockId> phi_pool;
     if (!getPool(in, values) || !getPool(in, insts) ||
             !getPool(in, operand_pool) || !getPool(in, phi_pool)) {
-        return false;
+        return PoolDecode::Malformed;
     }
     if (!out.adoptFlatPools(std::move(values), std::move(insts),
                             std::move(operand_pool), std::move(phi_pool))) {
-        return false;
+        return PoolDecode::Malformed;
     }
 
-    return validateModuleIds(out);
+    return validateModuleIds(out) ? PoolDecode::Ok : PoolDecode::Malformed;
 }
 
 } // namespace manta

@@ -105,8 +105,9 @@ class BinarySession
     bool saveSnapshot(std::string &bytes, std::string &error) const;
 
     /**
-     * Restore a session from MSNP bytes: decode the module and the
-     * memo, rebuild substrates from the decoded MIR and verify them
+     * Restore a session from MSNP bytes: decode the module (which
+     * must pass verifyModule) and the memo, rebuild substrates from
+     * the decoded MIR and verify them
      * against the snapshot's digest mirrors, then re-run inference
      * (warm - the memo answers unchanged candidates). Any mismatch
      * rejects the snapshot and leaves the session empty, so the next

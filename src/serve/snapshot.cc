@@ -11,6 +11,7 @@
 #endif
 
 #include "mir/serialize.h"
+#include "mir/verifier.h"
 
 namespace manta {
 namespace serve {
@@ -110,12 +111,6 @@ writeSnapshot(const Module &module, const SnapshotMeta &meta,
     }
     {
         ByteWriter w;
-        serializeModule(module, w);
-        sections.push_back(
-            {static_cast<std::uint32_t>(SnapshotSection::Mir), w.take()});
-    }
-    {
-        ByteWriter w;
         w.u64(digests.pts);
         w.u64(digests.ptsLocs);
         sections.push_back(
@@ -147,9 +142,8 @@ writeSnapshot(const Module &module, const SnapshotMeta &meta,
              w.take()});
     }
     {
-        // Zero-copy fast path: same module as MIR (3), dumped pool-at-
-        // a-time. A reader whose record layout differs rejects it and
-        // decodes MIR instead.
+        // The module, dumped pool-at-a-time. A reader whose record
+        // layout differs rejects the whole snapshot.
         ByteWriter w;
         serializeModulePools(module, w);
         sections.push_back(
@@ -231,10 +225,9 @@ readSnapshot(std::string_view bytes, Module &module,
     }
 
     // Borrowing lookup: payloads are views into `bytes`, so the pool
-    // fast path decodes straight from the (possibly mmapped) buffer.
-    auto findSection = [&](SnapshotSection id, std::string_view &payload,
-                           bool &found) -> bool {
-        found = false;
+    // dump decodes straight from the (possibly mmapped) buffer.
+    auto sectionPayload = [&](SnapshotSection id,
+                              std::string_view &payload) -> bool {
         for (const Entry &e : table) {
             if (e.id != static_cast<std::uint32_t>(id))
                 continue;
@@ -249,21 +242,10 @@ readSnapshot(std::string_view bytes, Module &module,
                 error = "section checksum mismatch";
                 return false;
             }
-            found = true;
             return true;
         }
-        return true;
-    };
-    auto sectionPayload = [&](SnapshotSection id,
-                              std::string_view &payload) -> bool {
-        bool found = false;
-        if (!findSection(id, payload, found))
-            return false;
-        if (!found) {
-            error = "missing section";
-            return false;
-        }
-        return true;
+        error = "missing section";
+        return false;
     };
 
     std::string_view payload;
@@ -296,31 +278,25 @@ readSnapshot(std::string_view bytes, Module &module,
             return false;
         }
     }
-    if (!sectionPayload(SnapshotSection::Mir, payload))
+    if (!sectionPayload(SnapshotSection::MirPools, payload))
         return false;
     {
-        // Fast path: load the raw pool dump when one is present and
-        // its layout tag matches this build; otherwise decode the
-        // element-wise MIR section. deserializeModulePools rejecting
-        // (foreign endianness/record sizes, or a malformed dump) is
-        // not an error - MIR (3) is authoritative.
-        std::string_view pools;
-        bool have_pools = false;
-        if (!findSection(SnapshotSection::MirPools, pools, have_pools))
+        ByteReader r(payload.data(), payload.size());
+        const PoolDecode decoded = deserializeModulePools(r, module);
+        if (decoded == PoolDecode::LayoutMismatch) {
+            error = "snapshot written by an incompatible build";
             return false;
-        bool loaded = false;
-        if (have_pools) {
-            ByteReader r(pools.data(), pools.size());
-            loaded = deserializeModulePools(r, module);
-            if (!loaded)
-                module = Module();
         }
-        if (!loaded) {
-            ByteReader r(payload.data(), payload.size());
-            if (!deserializeModule(r, module)) {
-                error = "malformed MIR section";
-                return false;
-            }
+        if (decoded != PoolDecode::Ok || !r.atEnd()) {
+            error = "malformed MIRPOOLS section";
+            return false;
+        }
+        // The ids are in range; the structure must hold too before any
+        // analysis indexes operands by opcode.
+        const std::vector<std::string> errors = verifyModule(module);
+        if (!errors.empty()) {
+            error = "snapshot MIR fails verification: " + errors.front();
+            return false;
         }
     }
     if (!sectionPayload(SnapshotSection::Pts, payload))

@@ -5,33 +5,34 @@
  *
  * Layout: magic "MSNP", format version, a section table (id, offset,
  * size, FNV-64 checksum per section), then the section payloads.
- * Readers reject unknown magic, a version mismatch, a malformed table
- * or any checksum failure - the caller falls back to a cold analysis,
- * never to a partially-decoded state.
+ * Readers reject unknown magic, a version mismatch, a malformed table,
+ * any checksum failure or a module that fails MIR verification - the
+ * caller falls back to a cold analysis, never to a partially-decoded
+ * state.
  *
  * Sections:
  *   META      (1)  version info, module text hash, walk budget,
  *                  pipeline configuration label.
  *   FUNCS     (2)  function names + per-function content hashes.
- *   MIR       (3)  the full post-acyclic module (mir/serialize.h) -
- *                  authoritative.
  *   PTS       (4)  points-to digest mirror: solution checksum +
  *                  counts. Substrates rebuild deterministically from
- *                  MIR; the mirror verifies the rebuild, it does not
- *                  replace it.
+ *                  the module; the mirror verifies the rebuild, it
+ *                  does not replace it.
  *   DDG       (5)  dependence-graph digest mirror, same contract.
  *   SUMMARIES (6)  memoized refinement records (serve/memo.h) -
  *                  authoritative.
  *   RESULTS   (7)  named digests of rendered artifacts at save time,
  *                  letting a reloaded session prove warm answers
  *                  byte-identical to the saved ones.
- *   MIRPOOLS  (8)  zero-copy pool dump of the same module
- *                  (mir/serialize.h, serializeModulePools): raw
- *                  value/instruction/operand/phi pools plus the name
- *                  arena, host-layout-tagged. Readers that match the
- *                  layout load it with one memcpy per pool and skip
- *                  the element-wise MIR decode; everyone else falls
- *                  back to MIR (3), which stays authoritative.
+ *   MIRPOOLS  (8)  the full post-acyclic module as a zero-copy pool
+ *                  dump (mir/serialize.h): raw value/instruction/
+ *                  operand/phi pools plus the name arena, tagged with
+ *                  the host layout. A build whose record layout
+ *                  differs rejects the snapshot as written by an
+ *                  incompatible build.
+ *
+ * Id 3 held an element-wise copy of the module in format version 1;
+ * it is retired and never reused.
  */
 #ifndef MANTA_SERVE_SNAPSHOT_H
 #define MANTA_SERVE_SNAPSHOT_H
@@ -50,13 +51,12 @@
 namespace manta {
 namespace serve {
 
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 
-/** Section ids (stable; new sections append new ids). */
+/** Section ids (stable; new sections append ids, retired ids stay unused). */
 enum class SnapshotSection : std::uint32_t {
     Meta = 1,
     Funcs = 2,
-    Mir = 3,
     Pts = 4,
     Ddg = 5,
     Summaries = 6,
@@ -114,13 +114,12 @@ struct SnapshotContents
 
 /**
  * Decode a snapshot. Returns false (with `error` set) on bad magic,
- * version mismatch, malformed sections or checksum failure; `module`
- * and `memo` are only meaningful on success.
- *
- * When a MIRPOOLS section is present and its layout tag matches this
- * build, the module loads from the raw pool dump (one memcpy per
- * pool); otherwise decoding falls back to the element-wise MIR
- * section. Both paths produce identical modules (fuzzed oracle).
+ * version mismatch, malformed sections, checksum failure, a MIRPOOLS
+ * layout tag that does not match this build ("snapshot written by an
+ * incompatible build") or a module that fails verifyModule ("snapshot
+ * MIR fails verification: <first error>"); `module` and `memo` are
+ * only meaningful on success. The module loads from the raw pool
+ * dump, one memcpy per pool.
  */
 bool readSnapshot(std::string_view bytes, Module &module,
                   IncrementalMemo &memo, SnapshotContents &out,
@@ -135,7 +134,7 @@ bool loadSnapshotFile(const std::string &path, std::string &bytes,
 /**
  * A snapshot file mapped (or, where mmap is unavailable, read) into
  * memory. Pairs with readSnapshot's string_view interface so the
- * MIRPOOLS fast path decodes straight out of the page cache without
+ * MIRPOOLS section decodes straight out of the page cache without
  * first copying the file into a heap string.
  */
 class MappedBytes

@@ -11,8 +11,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
+
+#include "mir/verifier.h"
 
 #include "serve/cli_modes.h"
 #include "serve/json.h"
@@ -328,15 +331,139 @@ TEST(ServeSnapshot, VersionMismatchIsRejected)
     std::string bytes, error;
     ASSERT_TRUE(saver.saveSnapshot(bytes, error)) << error;
 
-    // The u32 format version sits right after the 4-byte magic.
+    // The u32 format version sits right after the 4-byte magic. Version
+    // 1 files (which also carried an element-wise MIR section) and
+    // future versions are both refused.
+    for (const std::uint32_t version : {1u, kSnapshotVersion + 1}) {
+        std::string bad = bytes;
+        bad[4] = static_cast<char>(version);
+        BinarySession loader("snap");
+        std::string load_error;
+        EXPECT_FALSE(loader.loadSnapshot(bad, load_error)) << version;
+        EXPECT_NE(load_error.find("version"), std::string::npos)
+            << load_error;
+        EXPECT_FALSE(loader.hasResult());
+        EXPECT_TRUE(loader.analyze(kChainText).ok);
+    }
+}
+
+/** Where one section sits in an MSNP file (see snapshot.h). */
+struct SectionSpan
+{
+    std::size_t entry = 0;  ///< Table entry: id, offset, size, checksum.
+    std::size_t offset = 0; ///< Payload start.
+    std::size_t size = 0;
+};
+
+SectionSpan
+findSection(const std::string &bytes, SnapshotSection id)
+{
+    ByteReader in(bytes);
+    in.u32(); // magic
+    in.u32(); // version
+    const std::uint32_t count = in.u32();
+    constexpr std::size_t kEntryBytes = 4 + 8 + 8 + 8;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        SectionSpan span;
+        span.entry = 12 + i * kEntryBytes;
+        const std::uint32_t entry_id = in.u32();
+        span.offset = static_cast<std::size_t>(in.u64());
+        span.size = static_cast<std::size_t>(in.u64());
+        in.u64(); // checksum
+        if (entry_id == static_cast<std::uint32_t>(id))
+            return span;
+    }
+    ADD_FAILURE() << "section " << static_cast<std::uint32_t>(id)
+                  << " not found";
+    return {};
+}
+
+/** Recompute a section's checksum after its payload was edited. */
+void
+resealSection(std::string &bytes, const SectionSpan &span)
+{
+    const std::uint64_t sum = Fnv64::of(
+        std::string_view(bytes).substr(span.offset, span.size));
+    for (int i = 0; i < 8; ++i)
+        bytes[span.entry + 20 + static_cast<std::size_t>(i)] =
+            static_cast<char>(sum >> (8 * i));
+}
+
+TEST(ServeSnapshot, ForeignEndianMarkIsRejected)
+{
+    BinarySession saver("snap");
+    ASSERT_TRUE(saver.analyze(kChainText).ok);
+    std::string bytes, error;
+    ASSERT_TRUE(saver.saveSnapshot(bytes, error)) << error;
+
+    // MIRPOOLS opens with a host-order endian mark; byte-swap it and
+    // re-seal the checksum so only the layout check can object.
     std::string bad = bytes;
-    bad[4] = static_cast<char>(kSnapshotVersion + 1);
+    const SectionSpan pools = findSection(bad, SnapshotSection::MirPools);
+    ASSERT_GE(pools.size, 4u);
+    std::reverse(bad.begin() + static_cast<std::ptrdiff_t>(pools.offset),
+                 bad.begin() + static_cast<std::ptrdiff_t>(pools.offset + 4));
+    resealSection(bad, pools);
+
     BinarySession loader("snap");
     std::string load_error;
     EXPECT_FALSE(loader.loadSnapshot(bad, load_error));
-    EXPECT_NE(load_error.find("version"), std::string::npos) << load_error;
+    EXPECT_EQ(load_error, "snapshot written by an incompatible build");
     EXPECT_FALSE(loader.hasResult());
     EXPECT_TRUE(loader.analyze(kChainText).ok);
+}
+
+TEST(ServeSnapshot, MirFailingVerificationIsRejected)
+{
+    std::ifstream file(MANTA_DATA_DIR "/union_fig3.mir");
+    ASSERT_TRUE(file) << "cannot open union_fig3.mir";
+    std::stringstream text;
+    text << file.rdbuf();
+
+    BinarySession saver("fig3");
+    ASSERT_TRUE(saver.analyze(text.str()).ok);
+    std::string bytes, error;
+    ASSERT_TRUE(saver.saveSnapshot(bytes, error)) << error;
+
+    // Decode, cut one load's operand list to nothing, re-key FUNCS so
+    // the content hashes describe the damaged module, and re-encode:
+    // every checksum, id-range and slice check passes, so only MIR
+    // verification stands between this file and the analyses (which
+    // would index the missing operand).
+    Module module;
+    IncrementalMemo memo;
+    SnapshotContents contents;
+    ASSERT_TRUE(readSnapshot(bytes, module, memo, contents, error))
+        << error;
+    std::vector<Instruction> insts = module.instPool();
+    const auto load =
+        std::find_if(insts.begin(), insts.end(), [](const Instruction &i) {
+            return i.op == Opcode::Load;
+        });
+    ASSERT_NE(load, insts.end());
+    load->operandCnt = 0;
+    ASSERT_TRUE(module.adoptFlatPools(module.valuePool(), std::move(insts),
+                                      module.operandPool(),
+                                      module.phiPool()));
+    ASSERT_EQ(verifyModule(module).size(), 1u);
+    const ModuleKeys keys(module);
+    std::vector<std::pair<std::string, std::uint64_t>> funcs;
+    for (std::size_t f = 0; f < module.numFuncs(); ++f) {
+        const FuncId fid(static_cast<FuncId::RawType>(f));
+        funcs.emplace_back(std::string(module.str(module.func(fid).name)),
+                           keys.contentHash(fid));
+    }
+    const std::string crafted = writeSnapshot(
+        module, contents.meta, funcs, contents.digests, memo,
+        contents.results);
+
+    BinarySession loader("fig3");
+    std::string load_error;
+    EXPECT_FALSE(loader.loadSnapshot(crafted, load_error));
+    EXPECT_EQ(load_error.rfind("snapshot MIR fails verification: ", 0), 0u)
+        << load_error;
+    EXPECT_FALSE(loader.hasResult());
+    EXPECT_TRUE(loader.analyze(text.str()).ok);
 }
 
 TEST(ServeKeys, TextHashIsStableAndSensitive)
