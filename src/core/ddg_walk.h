@@ -49,7 +49,11 @@ namespace manta {
 
 class ModularSchedule;
 
-/** Tunable traversal budgets. */
+/**
+ * Budgets of the DDG queries (FIND_ROOTS / COLLECT_TYPES). They bound
+ * the context stage's closures and every alias-root query; the
+ * flow-sensitive stage's CFG evaluation is exact and reads neither.
+ */
 struct WalkBudget
 {
     std::size_t maxVisited = 10000; ///< Nodes per query.
@@ -283,9 +287,6 @@ class DdgWalker
      */
     void resetStats() { stats_ = WalkStats{}; }
 
-    /** The context tree, shared with the flow stage's CFG walks. */
-    CtxInterner &interner() { return interner_; }
-
     /// @name Shared cross-SCC summaries (core/fn_summary.h).
     ///
     /// In modular bottom-up mode the refinement stages attach a frozen
@@ -348,7 +349,7 @@ class DdgWalker
         cand_poisoned_ = false;
     }
 
-    /** Explicitly add a function (the flow stage's CFG walks). */
+    /** Explicitly add a function (the flow stage's block reads). */
     void
     noteFunc(std::uint32_t func_raw)
     {

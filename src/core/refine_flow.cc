@@ -1,17 +1,84 @@
 #include "core/refine_flow.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "core/wave_walk.h"
 
 namespace manta {
 
+namespace {
+
+/**
+ * Per-candidate state of one summary node: a block's Out, a callee's
+ * Sum, or the site being answered.
+ */
+struct NodeState
+{
+    std::uint32_t stamp = 0;  ///< Candidate epoch that entered the node.
+    bool open = false;        ///< Entered, result not yet final.
+    std::uint32_t begin = 0;  ///< Result types: a slice of Worker::pool.
+    std::uint32_t count = 0;
+};
+
+/** An open node: its successors are Worker::succs[begin, end). */
+struct Frame
+{
+    std::uint32_t node;
+    std::uint32_t begin;
+    std::uint32_t next;
+    std::uint32_t end;
+    std::uint32_t calls;  ///< Callee summaries open on the path here.
+};
+
+/** acc |= [types, types + n); both sorted by raw id, distinct. */
+void
+unionInto(std::vector<TypeRef> &acc, const TypeRef *types, std::size_t n,
+          std::vector<TypeRef> &tmp)
+{
+    if (n == 0)
+        return;
+    if (acc.empty()) {
+        acc.assign(types, types + n);
+        return;
+    }
+    tmp.clear();
+    std::set_union(acc.begin(), acc.end(), types, types + n,
+                   std::back_inserter(tmp));
+    acc.swap(tmp);
+}
+
+/**
+ * Group (key, value) pairs into a CSR over keys [0, keys): values of
+ * key k are vals[off[k], off[k + 1]), sorted and distinct.
+ */
+void
+buildCsr(std::vector<std::pair<std::uint32_t, std::uint32_t>> &pairs,
+         std::size_t keys, std::vector<std::uint32_t> &off,
+         std::vector<std::uint32_t> &vals)
+{
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    off.assign(keys + 1, 0);
+    vals.clear();
+    vals.reserve(pairs.size());
+    std::size_t p = 0;
+    for (std::size_t k = 0; k < keys; ++k) {
+        for (; p < pairs.size() && pairs[p].first == k; ++p)
+            vals.push_back(pairs[p].second);
+        off[k + 1] = static_cast<std::uint32_t>(vals.size());
+    }
+}
+
+} // namespace
+
 /**
  * Per-worker walk-phase scratch. The DdgWalker answers the alias-root
- * queries (memoized within the worker); the interner/epoch structures
- * back the CFG walks. Everything a worker touches beyond this is
- * frozen for the whole phase. The stats/harvest trio is what
- * runWalkWaves (core/wave_walk.h) drives.
+ * queries (memoized within the worker); the epoch-stamped summary
+ * tables back the CFG evaluation and are reset per candidate.
+ * Everything a worker touches beyond this is frozen for the whole
+ * phase. The stats/harvest trio is what runWalkWaves
+ * (core/wave_walk.h) drives.
  */
 struct FlowRefinement::Worker
 {
@@ -42,11 +109,30 @@ struct FlowRefinement::Worker
         walker.harvestSummaries(delta, schedule);
     }
 
+    /** Fresh summary tables for the next candidate (no clearing). */
+    void
+    beginTables(std::size_t nodes)
+    {
+        if (state.size() < nodes)
+            state.resize(nodes);
+        ++epoch;
+        pool.clear();
+    }
+
     DdgWalker walker;
-    CtxInterner ctx;        ///< Contexts for the CFG walk (call insts).
-    EpochVisited visited;   ///< (inst, ctx-top) marks for the CFG walk.
     EpochFlags roots;       ///< Current candidate's alias-root set.
-    WalkStats cfgStats;     ///< CFG-walk counters (walker has its own).
+    std::vector<std::uint32_t> rootList;
+    EpochFlags relevant;    ///< Call-graph SCCs the relevance filter keeps.
+    std::vector<std::uint32_t> queue;
+
+    std::vector<NodeState> state;
+    std::uint32_t epoch = 0;
+    std::vector<TypeRef> pool;        ///< Node result sets.
+    std::vector<Frame> frames;
+    std::vector<std::uint32_t> succs;
+    std::vector<std::vector<TypeRef>> accs;  ///< One per open frame.
+    std::vector<TypeRef> tmp;
+    WalkStats cfgStats;     ///< CFG counters (walker has its own).
 };
 
 FlowRefinement::FlowRefinement(Module &module, const Ddg &ddg,
@@ -59,124 +145,57 @@ FlowRefinement::FlowRefinement(Module &module, const Ddg &ddg,
       memo_(memo), instIndex_(module)
 {}
 
-const Cfg &
-FlowRefinement::cfgOf(FuncId func)
+void
+FlowRefinement::buildBlockGraph()
 {
-    const auto it = cfg_cache_.find(func.raw());
-    if (it != cfg_cache_.end())
-        return it->second;
-    return cfg_cache_.emplace(func.raw(), Cfg(module_, func)).first->second;
-}
+    const std::size_t nb = module_.numBlocks();
+    const std::size_t nf = module_.numFuncs();
+    BlockGraph &g = graph_;
 
-namespace {
-
-/** CFG walk item: instruction plus interned context. */
-struct WalkItem
-{
-    std::uint32_t inst;
-    std::uint32_t ctx;
-};
-
-} // namespace
-
-std::vector<TypeRef>
-FlowRefinement::reachableTypes(Worker &w, InstId site)
-{
-    ++w.cfgStats.queries;
-    std::vector<TypeRef> types;
-    w.visited.ensure(site.raw() + 1);
-    w.visited.newEpoch();
-    std::vector<WalkItem> work;
-    work.push_back(WalkItem{site.raw(), CtxInterner::kEmpty});
-    w.visited.insert(site.raw(), CtxInterner::kNoSite);
-
-    std::size_t steps = 0;
-    while (!work.empty()) {
-        if (++steps > budget_.maxVisited) {
-            ++w.cfgStats.truncated;
-            break;
+    g.eventOff.assign(nb + 1, 0);
+    for (std::size_t b = 0; b < nb; ++b) {
+        const BasicBlock &bb =
+            module_.block(BlockId(static_cast<BlockId::RawType>(b)));
+        for (std::size_t i = bb.insts.size(); i-- > 0;) {
+            const InstId iid = bb.insts[i];
+            const Instruction &inst = module_.inst(iid);
+            const bool hinted = !hints_.at(iid).empty();
+            const std::uint32_t callee =
+                inst.op == Opcode::Call && inst.callee.valid()
+                    ? inst.callee.raw()
+                    : BlockGraph::kNoCallee;
+            if (hinted || callee != BlockGraph::kNoCallee)
+                g.events.push_back({iid.raw(), static_cast<std::uint32_t>(i),
+                                    callee, hinted});
         }
-        const WalkItem item = work.back();
-        work.pop_back();
-
-        const InstId iid(static_cast<InstId::RawType>(item.inst));
-        const Instruction &inst = module_.inst(iid);
-        // Touch capture: the walk read this instruction (and below,
-        // possibly a callee's block structure); its function's content
-        // hash covers the CFG shape, positions and hints read here.
-        if (w.walker.captureEnabled())
-            w.walker.noteFunc(module_.block(inst.parent).func.raw());
-
-        // Annotation check: the first alias annotation met along the
-        // path is collected and strong-updates (stops) the path.
-        bool stop = false;
-        for (const TypeHint &hint : hints_.at(iid)) {
-            for (const ValueId r : w.walker.rootsOf(hint.value)) {
-                if (w.roots.marked(r.raw())) {
-                    types.push_back(hint.type);
-                    stop = true;
-                    break;
-                }
-            }
-        }
-        if (stop)
-            continue;
-
-        auto enqueue = [&](InstId next, std::uint32_t ctx) {
-            w.visited.ensure(next.raw() + 1);
-            if (w.visited.insert(next.raw(), w.ctx.top(ctx)))
-                work.push_back(WalkItem{next.raw(), ctx});
-        };
-
-        // Descend into direct callees: the callee body executes before
-        // control returns to this point.
-        if (inst.op == Opcode::Call && inst.callee.valid() &&
-                w.ctx.depth(item.ctx) < budget_.maxStack) {
-            w.walker.noteFunc(inst.callee.raw());
-            const Function &callee = module_.func(inst.callee);
-            for (const BlockId bid : callee.blocks) {
-                const BasicBlock &bb = module_.block(bid);
-                if (bb.insts.empty())
-                    continue;
-                const Instruction &term = module_.inst(bb.insts.back());
-                if (term.op == Opcode::Ret) {
-                    const std::uint32_t ctx = w.ctx.push(item.ctx, iid);
-                    if (w.ctx.depth(ctx) > w.cfgStats.peakCtxDepth)
-                        w.cfgStats.peakCtxDepth = w.ctx.depth(ctx);
-                    enqueue(bb.insts.back(), ctx);
-                }
-            }
-        }
-
-        const BasicBlock &bb = module_.block(inst.parent);
-        const std::size_t pos = instIndex_.positionInBlock(iid);
-        if (pos > 0) {
-            enqueue(bb.insts[pos - 1], item.ctx);
-            continue;
-        }
-
-        const Cfg &cfg = cfgOf(bb.func);
-        for (const BlockId pred : cfg.preds(inst.parent)) {
-            const BasicBlock &pb = module_.block(pred);
-            if (!pb.insts.empty())
-                enqueue(pb.insts.back(), item.ctx);
-        }
-
-        // At the function entry: return to the call site we descended
-        // from. The flow-sensitive walk never ascends past its starting
-        // frame - collecting hints from arbitrary callers without a
-        // context is the context-sensitive stage's job, not this one's
-        // (mixing them would re-introduce the polymorphic merging that
-        // Section 4.2.1 exists to avoid).
-        const Function &fn = module_.func(bb.func);
-        if (inst.parent == fn.entry() && item.ctx != CtxInterner::kEmpty) {
-            const InstId ret_site(
-                static_cast<InstId::RawType>(w.ctx.top(item.ctx)));
-            enqueue(ret_site, w.ctx.pop(item.ctx));
-        }
+        g.eventOff[b + 1] = static_cast<std::uint32_t>(g.events.size());
     }
-    w.cfgStats.steps += steps;
-    return types;
+
+    // Predecessors as the per-function Cfg sees them: branch targets
+    // of each function's own (non-empty) blocks, as (target, pred).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
+    g.retOff.assign(nf + 1, 0);
+    for (std::size_t f = 0; f < nf; ++f) {
+        const Function &fn =
+            module_.func(FuncId(static_cast<FuncId::RawType>(f)));
+        for (const BlockId bid : fn.blocks) {
+            const BasicBlock &bb = module_.block(bid);
+            if (bb.insts.empty())
+                continue;
+            const Instruction &term = module_.inst(bb.insts.back());
+            if (term.op == Opcode::Br) {
+                edges.emplace_back(term.thenBlock.raw(), bid.raw());
+                if (term.elseBlock != term.thenBlock)
+                    edges.emplace_back(term.elseBlock.raw(), bid.raw());
+            } else if (term.op == Opcode::Jmp) {
+                edges.emplace_back(term.thenBlock.raw(), bid.raw());
+            } else if (term.op == Opcode::Ret) {
+                g.rets.push_back(bid.raw());
+            }
+        }
+        g.retOff[f + 1] = static_cast<std::uint32_t>(g.rets.size());
+    }
+    buildCsr(edges, nb, g.predOff, g.preds);
 }
 
 void
@@ -195,11 +214,15 @@ FlowRefinement::buildFlatHints(WalkStats &stats)
     // Hint values repeat across sites; flatten each closure once.
     std::unordered_map<std::uint32_t,
                        std::pair<std::uint32_t, std::uint32_t>> pooled;
+    // (root, function holding a hint with that root).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> root_funcs;
     for (std::size_t i = 0; i < ni; ++i) {
         const InstId iid(static_cast<InstId::RawType>(i));
         const std::vector<TypeHint> &hints = hints_.at(iid);
         if (hints.empty())
             continue;
+        const std::uint32_t func =
+            module_.block(module_.inst(iid).parent).func.raw();
         flat_.instSpan[i] = {static_cast<std::uint32_t>(flat_.spans.size()),
                              static_cast<std::uint32_t>(hints.size())};
         for (const TypeHint &hint : hints) {
@@ -215,133 +238,215 @@ FlowRefinement::buildFlatHints(WalkStats &stats)
             }
             flat_.spans.push_back(
                 {hint.type, it->second.first, it->second.second});
+            for (std::uint32_t j = 0; j < it->second.second; ++j)
+                root_funcs.emplace_back(
+                    flat_.rootPool[it->second.first + j], func);
         }
     }
     stats.merge(w.walker.stats());
     FnSummaryStore::Delta delta;
     w.walker.harvestSummaries(delta, schedule_);
     summaries_.publish(std::move(delta));
-}
 
-void
-FlowRefinement::buildFlatCfg()
-{
-    // Flatten the backward-step relation (see reachableTypes) into
-    // the tagged adjacency, emitting entries in the interpreted push
-    // order so walk DFS order - and the truncation point of budget-
-    // limited walks - is preserved exactly.
-    const std::size_t ni = module_.numInsts();
-    fcfg_.rowSpan.assign(ni, {0, 0});
-    for (std::size_t i = 0; i < ni; ++i) {
-        const InstId iid(static_cast<InstId::RawType>(i));
-        const Instruction &inst = module_.inst(iid);
-        const auto begin = static_cast<std::uint32_t>(fcfg_.pool.size());
-
-        if (inst.op == Opcode::Call && inst.callee.valid()) {
-            const Function &callee = module_.func(inst.callee);
-            for (const BlockId bid : callee.blocks) {
-                const BasicBlock &bb = module_.block(bid);
-                if (bb.insts.empty())
-                    continue;
-                const Instruction &term = module_.inst(bb.insts.back());
-                if (term.op == Opcode::Ret)
-                    fcfg_.pool.push_back((FlatCfg::kCall << 30) |
-                                         bb.insts.back().raw());
-            }
-        }
-
-        const BasicBlock &bb = module_.block(inst.parent);
-        const std::size_t pos = instIndex_.positionInBlock(iid);
-        if (pos > 0) {
-            fcfg_.pool.push_back((FlatCfg::kStep << 30) |
-                                 bb.insts[pos - 1].raw());
-        } else {
-            const Cfg &cfg = cfgOf(bb.func);
-            for (const BlockId pred : cfg.preds(inst.parent)) {
-                const BasicBlock &pb = module_.block(pred);
-                if (!pb.insts.empty())
-                    fcfg_.pool.push_back((FlatCfg::kStep << 30) |
-                                         pb.insts.back().raw());
-            }
-            const Function &fn = module_.func(bb.func);
-            if (inst.parent == fn.entry())
-                fcfg_.pool.push_back(FlatCfg::kAscend << 30);
-        }
-        fcfg_.rowSpan[i] = {begin,
-                            static_cast<std::uint32_t>(fcfg_.pool.size()) -
-                                begin};
-    }
+    // Inverse map for the relevance filter.
+    buildCsr(root_funcs, module_.numValues(), flat_.funcOff, flat_.funcs);
     flatReady_ = true;
 }
 
-std::vector<TypeRef>
-FlowRefinement::reachableTypesFlat(Worker &w, InstId site)
+void
+FlowRefinement::markRelevant(Worker &w) const
 {
-    ++w.cfgStats.queries;
-    std::vector<TypeRef> types;
-    w.visited.ensure(site.raw() + 1);
-    w.visited.newEpoch();
-    std::vector<WalkItem> work;
-    work.push_back(WalkItem{site.raw(), CtxInterner::kEmpty});
-    w.visited.insert(site.raw(), CtxInterner::kNoSite);
-
-    std::size_t steps = 0;
-    while (!work.empty()) {
-        if (++steps > budget_.maxVisited) {
-            ++w.cfgStats.truncated;
-            break;
+    // Seeds: the call-graph SCCs of functions holding a hint whose
+    // roots meet R; then every SCC that reaches one through direct
+    // calls. A callee outside this set has no matching hint anywhere
+    // in its call closure, so its summary is empty and the evaluation
+    // skips it.
+    const SccGraph &sccs = schedule_.sccs();
+    w.relevant.newEpoch();
+    w.queue.clear();
+    for (const std::uint32_t r : w.rootList) {
+        for (std::uint32_t i = flat_.funcOff[r]; i < flat_.funcOff[r + 1];
+                ++i) {
+            const std::uint32_t scc = sccs.sccOf(FuncId(flat_.funcs[i]));
+            if (w.relevant.mark(scc))
+                w.queue.push_back(scc);
         }
-        const WalkItem item = work.back();
-        work.pop_back();
+    }
+    for (std::size_t q = 0; q < w.queue.size(); ++q) {
+        for (const std::uint32_t caller : sccs.callerSccs(w.queue[q])) {
+            if (w.relevant.mark(caller))
+                w.queue.push_back(caller);
+        }
+    }
+    w.cfgStats.steps += w.queue.size();
+}
 
-        // Annotation check against the flattened hint index: the exact
-        // root sets rootsOf() would answer, minus the memo probe.
-        bool stop = false;
-        const auto [hfirst, hcount] = flat_.instSpan[item.inst];
-        for (std::uint32_t h = 0; h < hcount; ++h) {
-            const FlatHints::Span &span = flat_.spans[hfirst + h];
+bool
+FlowRefinement::isRelevant(const Worker &w, std::uint32_t func) const
+{
+    return !flatReady_ ||
+           w.relevant.marked(schedule_.sccs().sccOf(FuncId(func)));
+}
+
+bool
+FlowRefinement::collectMatching(Worker &w, std::uint32_t inst,
+                                std::vector<TypeRef> &types) const
+{
+    bool hit = false;
+    if (flatReady_) {
+        // The exact root sets rootsOf() would answer, minus the probe.
+        const auto [first, count] = flat_.instSpan[inst];
+        for (std::uint32_t h = 0; h < count; ++h) {
+            const FlatHints::Span &span = flat_.spans[first + h];
             for (std::uint32_t j = 0; j < span.count; ++j) {
                 if (w.roots.marked(flat_.rootPool[span.begin + j])) {
                     types.push_back(span.type);
-                    stop = true;
+                    hit = true;
                     break;
                 }
             }
         }
-        if (stop)
-            continue;
-
-        const std::uint32_t cur_top = w.ctx.top(item.ctx);
-        const auto [rfirst, rcount] = fcfg_.rowSpan[item.inst];
-        for (std::uint32_t e = 0; e < rcount; ++e) {
-            const std::uint32_t entry = fcfg_.pool[rfirst + e];
-            const std::uint32_t tag = entry >> 30;
-            const std::uint32_t target = entry & FlatCfg::kPayload;
-            if (tag == FlatCfg::kStep) {
-                w.visited.ensure(target + 1);
-                if (w.visited.insert(target, cur_top))
-                    work.push_back(WalkItem{target, item.ctx});
-            } else if (tag == FlatCfg::kCall) {
-                if (w.ctx.depth(item.ctx) >= budget_.maxStack)
-                    continue;
-                const std::uint32_t ctx = w.ctx.push(
-                    item.ctx, InstId(static_cast<InstId::RawType>(item.inst)));
-                if (w.ctx.depth(ctx) > w.cfgStats.peakCtxDepth)
-                    w.cfgStats.peakCtxDepth = w.ctx.depth(ctx);
-                w.visited.ensure(target + 1);
-                if (w.visited.insert(target, item.inst))
-                    work.push_back(WalkItem{target, ctx});
-            } else if (item.ctx != CtxInterner::kEmpty) {
-                // Ascend to the call site we descended from.
-                const std::uint32_t up = w.ctx.pop(item.ctx);
-                w.visited.ensure(cur_top + 1);
-                if (w.visited.insert(cur_top, w.ctx.top(up)))
-                    work.push_back(WalkItem{cur_top, up});
+        return hit;
+    }
+    // Through the walker, so touch capture records what each hint's
+    // root query read.
+    for (const TypeHint &hint :
+            hints_.at(InstId(static_cast<InstId::RawType>(inst)))) {
+        for (const ValueId r : w.walker.rootsOf(hint.value)) {
+            if (w.roots.marked(r.raw())) {
+                types.push_back(hint.type);
+                hit = true;
+                break;
             }
         }
     }
-    w.cfgStats.steps += steps;
-    return types;
+    return hit;
+}
+
+void
+FlowRefinement::openNode(Worker &w, std::uint32_t node, InstId site) const
+{
+    const auto nb = static_cast<std::uint32_t>(module_.numBlocks());
+    const auto nf = static_cast<std::uint32_t>(module_.numFuncs());
+    NodeState &ns = w.state[node];
+    ns.stamp = w.epoch;
+    ns.open = true;
+
+    const std::size_t depth = w.frames.size();
+    if (w.accs.size() <= depth)
+        w.accs.emplace_back();
+    std::vector<TypeRef> &acc = w.accs[depth];
+    acc.clear();
+    const auto begin = static_cast<std::uint32_t>(w.succs.size());
+    std::uint32_t calls = depth == 0 ? 0 : w.frames.back().calls;
+    ++w.cfgStats.steps;
+
+    if (node >= nb && node < nb + nf) {
+        // Sum(g): the union of Out over g's `ret` blocks.
+        const std::uint32_t g = node - nb;
+        w.walker.noteFunc(g);
+        ++calls;
+        for (std::uint32_t i = graph_.retOff[g]; i < graph_.retOff[g + 1];
+                ++i)
+            w.succs.push_back(graph_.rets[i]);
+    } else {
+        // Out(b), or the site's scan of its own block from its position.
+        std::uint32_t block = node;
+        std::uint32_t limit = 0xffffffffu;
+        if (node == nb + nf) {
+            block = module_.inst(site).parent.raw();
+            limit = static_cast<std::uint32_t>(
+                instIndex_.positionInBlock(site));
+        }
+        w.walker.noteFunc(
+            module_.block(BlockId(static_cast<BlockId::RawType>(block)))
+                .func.raw());
+        bool stop = false;
+        for (std::uint32_t e = graph_.eventOff[block];
+                e < graph_.eventOff[block + 1]; ++e) {
+            const BlockGraph::Event &ev = graph_.events[e];
+            if (ev.pos > limit)
+                continue;
+            ++w.cfgStats.steps;
+            // The first alias annotation met strong-updates (stops)
+            // the path - before a call on the same instruction is
+            // entered.
+            if (ev.hinted && collectMatching(w, ev.inst, acc)) {
+                stop = true;
+                break;
+            }
+            // The callee body executes before control returns here.
+            if (ev.callee != BlockGraph::kNoCallee &&
+                    isRelevant(w, ev.callee))
+                w.succs.push_back(nb + ev.callee);
+        }
+        if (stop) {
+            std::sort(acc.begin(), acc.end());
+            acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
+        } else {
+            for (std::uint32_t i = graph_.predOff[block];
+                    i < graph_.predOff[block + 1]; ++i)
+                w.succs.push_back(graph_.preds[i]);
+        }
+    }
+    if (calls > w.cfgStats.peakCtxDepth)
+        w.cfgStats.peakCtxDepth = calls;
+    w.frames.push_back(Frame{node, begin, begin,
+                             static_cast<std::uint32_t>(w.succs.size()),
+                             calls});
+}
+
+void
+FlowRefinement::closeNode(Worker &w) const
+{
+    const Frame f = w.frames.back();
+    const std::vector<TypeRef> &acc = w.accs[w.frames.size() - 1];
+    NodeState &ns = w.state[f.node];
+    ns.open = false;
+    ns.begin = static_cast<std::uint32_t>(w.pool.size());
+    ns.count = static_cast<std::uint32_t>(acc.size());
+    w.pool.insert(w.pool.end(), acc.begin(), acc.end());
+    w.frames.pop_back();
+    w.succs.resize(f.begin);
+    if (!w.frames.empty())
+        unionInto(w.accs[w.frames.size() - 1], w.pool.data() + ns.begin,
+                  ns.count, w.tmp);
+}
+
+void
+FlowRefinement::evalSite(Worker &w, InstId site,
+                         std::vector<TypeRef> &types) const
+{
+    ++w.cfgStats.queries;
+    types.clear();
+    // A function outside the relevant set has no matching hint in its
+    // call closure: nothing can be collected.
+    if (!isRelevant(w, module_.block(module_.inst(site).parent).func.raw()))
+        return;
+
+    const auto site_node = static_cast<std::uint32_t>(
+        module_.numBlocks() + module_.numFuncs());
+    w.state[site_node].stamp = 0;  // Sites share tables, not the site.
+    openNode(w, site_node, site);
+    while (!w.frames.empty()) {
+        Frame &f = w.frames.back();
+        if (f.next == f.end) {
+            closeNode(w);
+            continue;
+        }
+        const std::uint32_t next = w.succs[f.next++];
+        const NodeState &cs = w.state[next];
+        // An open successor closes a cycle, which only input that
+        // skipped makeAcyclic can have; that back edge adds nothing.
+        if (cs.stamp != w.epoch)
+            openNode(w, next, InstId());
+        else if (!cs.open)
+            unionInto(w.accs[w.frames.size() - 1], w.pool.data() + cs.begin,
+                      cs.count, w.tmp);
+    }
+    const NodeState &ss = w.state[site_node];
+    types.assign(w.pool.begin() + ss.begin,
+                 w.pool.begin() + ss.begin + ss.count);
 }
 
 void
@@ -367,16 +472,20 @@ FlowRefinement::processCandidate(Worker &w, ValueId v, CandidateOut &out)
 {
     // Root set for the alias check.
     w.roots.newEpoch();
+    w.rootList.clear();
     for (const ValueId r : w.walker.rootsOf(v)) {
         w.roots.ensure(r.raw() + 1);
         w.roots.mark(r.raw());
+        w.rootList.push_back(r.raw());
     }
+    if (flatReady_)
+        markRelevant(w);
 
-    out.siteTypes.reserve(out.sites.size());
-    for (const InstId s : out.sites) {
-        out.siteTypes.push_back(flatReady_ ? reachableTypesFlat(w, s)
-                                           : reachableTypes(w, s));
-    }
+    // One set of summary tables serves all of the candidate's sites.
+    w.beginTables(module_.numBlocks() + module_.numFuncs() + 1);
+    out.siteTypes.resize(out.sites.size());
+    for (std::size_t j = 0; j < out.sites.size(); ++j)
+        evalSite(w, out.sites[j], out.siteTypes[j]);
 }
 
 FlowRefineResult
@@ -418,20 +527,15 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
 
     // Phase 1: traversal, reading only frozen state.
     if (m > 0) {
-        // Build every per-function CFG up front; the lazy cache would
-        // be a write from multiple workers.
-        for (std::size_t f = 0; f < module_.numFuncs(); ++f)
-            cfgOf(FuncId(static_cast<FuncId::RawType>(f)));
+        buildBlockGraph();
         // Touch capture needs the per-hint rootsOf() calls to record
         // which functions a candidate's answer read, so the flattened
-        // index only serves memo-less (batch) runs - and only modules
-        // large enough to amortize the whole-module flattening pass
-        // (kFlatIndexMinInsts; tiny modules fall back to the
-        // interpreted walk, which answers identically).
-        if (!use_memo && flatIndexEligible(module_)) {
+        // index (and the relevance filter built on it) only serves
+        // memo-less batch runs - and only modules large enough to
+        // amortize the whole-module flattening pass (kFlatIndexMinInsts;
+        // below it the answers are identical, just unfiltered).
+        if (!use_memo && flatIndexEligible(module_))
             buildFlatHints(result.walk);
-            buildFlatCfg();
-        }
     }
     auto make = [&]() {
         auto w = std::make_unique<Worker>(ddg_, &env_, tt, budget_);

@@ -3,27 +3,45 @@
  * Flow-sensitive type refinement (paper Section 4.2.2, Algorithm 2).
  *
  * For every still-over-approximated variable, the def site and each use
- * site v@s become distinct type variables. REACHABLE_TYPES performs a
- * backward walk on the (inter-procedural) CFG from s: the first type
- * annotation found on an alias of v along each path is collected and
- * terminates that path (a strong update); the LUB/GLB of all collected
- * annotations become the bounds of v@s. A site with no reachable
- * annotations becomes unknown - the deliberate aggression the paper
- * discusses in Section 6.4 (Type Refinement Order).
+ * site v@s become distinct type variables. REACHABLE_TYPES collects,
+ * along every backward path on the (inter-procedural) CFG from s, the
+ * first type annotation on an alias of v; that annotation terminates
+ * the path (a strong update). The LUB/GLB of all collected annotations
+ * become the bounds of v@s. A site with no reachable annotations
+ * becomes unknown - the deliberate aggression the paper discusses in
+ * Section 6.4 (Type Refinement Order).
+ *
+ * The answer is evaluated exactly, without a step budget, by summaries
+ * that one candidate's sites share (they all sit in its owning
+ * function). With R the candidate's alias-root set:
+ *  - Out(b) scans block b backwards. At the first instruction with a
+ *    hint whose roots meet R it collects that instruction's matching
+ *    types and stops; every direct call it passes adds Sum(callee);
+ *    if nothing stops it, it adds Out(p) for every predecessor p.
+ *  - Sum(g) is the union of Out(b) over g's `ret` blocks. A path that
+ *    reaches g's entry returns to the call it descended from, which
+ *    continues on its own, so the caller is never re-entered.
+ *  - A site scans its own block from its own position, then takes the
+ *    union of its predecessors' Out.
+ * After makeAcyclic, which analyses require, every CFG and the direct
+ * call graph are DAGs, so each table entry is computed once per
+ * candidate, after the entries it depends on. In batch runs a
+ * relevance filter skips callee g outright when no function in g's
+ * call closure holds a hint whose roots meet R - pure pruning.
  *
  * Like the context stage, this runs as a read-only walk phase
  * (bottom-up SCC waves over the shared summary store,
  * core/wave_walk.h; each worker owns a DdgWalker for the alias-root
- * queries plus interned-context/epoch scratch for the CFG walks)
- * followed by a sequential merge phase that performs the joins in
- * candidate/site order. The alias-root closures the CFG walks depend
- * on are shared across packs and with the context stage, and site and
- * variable bounds equal the one-worklist reference
- * (reference/refine_ref.h) bound for bound.
+ * queries plus the epoch-stamped summary tables) followed by a
+ * sequential merge phase that performs the joins in candidate/site
+ * order. Site and variable bounds equal the uncapped one-worklist
+ * reference (reference/refine_ref.h) bound for bound. WalkBudget
+ * bounds only the DDG root queries here.
  */
 #ifndef MANTA_CORE_REFINE_FLOW_H
 #define MANTA_CORE_REFINE_FLOW_H
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -81,7 +99,8 @@ struct FlowRefineResult
     /** Candidates answered from the cross-run memo (0 without one). */
     std::size_t reused = 0;
 
-    /** Traversal work counters (DDG root queries + CFG walks). */
+    /** Work counters: DDG root queries, plus one query per site and
+     *  one step per summary node entered or instruction examined. */
     WalkStats walk;
 };
 
@@ -90,11 +109,11 @@ class FlowRefinement
 {
   public:
     /**
-     * Modules below this instruction count skip the flattened
-     * hint/CFG indexes in the batch (memo-less) walk phase: flattening
-     * is a whole-module pass, and on tiny modules its setup cost exceeds
-     * everything the flat hot loop saves (the interpreted walk answers
-     * with identical site types either way). The threshold is pinned
+     * Modules below this instruction count skip the flattened hint
+     * index (and with it the relevance filter) in batch (memo-less)
+     * runs: flattening computes the roots of every hint in the module,
+     * and on tiny modules that costs more than the filter saves. Both
+     * ways answer with identical site types. The threshold is pinned
      * by tests/test_modular.cc.
      */
     static constexpr std::size_t kFlatIndexMinInsts = 500;
@@ -106,7 +125,8 @@ class FlowRefinement
         return module.numInsts() >= kFlatIndexMinInsts;
     }
 
-    /** Parameters as for CtxRefinement (core/refine_ctx.h). */
+    /** Parameters as for CtxRefinement (core/refine_ctx.h); `budget`
+     *  bounds only the alias-root queries. */
     FlowRefinement(Module &module, const Ddg &ddg, const HintIndex &hints,
                    TypeEnv &env, const ModularSchedule &schedule,
                    FnSummaryStore &summaries, WalkBudget budget = {},
@@ -141,21 +161,48 @@ class FlowRefinement
      *  `out.sites` must already be enumerated. */
     void processCandidate(Worker &w, ValueId v, CandidateOut &out);
 
-    /** REACHABLE_TYPES: backward CFG walk from `site`. */
-    std::vector<TypeRef> reachableTypes(Worker &w, InstId site);
+    /**
+     * Pure CFG structure the summaries read, built once per stage: per
+     * block, the instructions that can stop or extend a path (hint
+     * carriers and direct calls, last instruction first) and the
+     * predecessors; per function, the `ret` blocks.
+     */
+    struct BlockGraph
+    {
+        static constexpr std::uint32_t kNoCallee = 0xffffffffu;
 
-    const Cfg &cfgOf(FuncId func);
+        struct Event
+        {
+            std::uint32_t inst;
+            std::uint32_t pos;     ///< Position in the block.
+            std::uint32_t callee;  ///< Direct callee raw id or kNoCallee.
+            bool hinted;           ///< Instruction carries hints.
+        };
+        /** CSR by block raw id. */
+        std::vector<std::uint32_t> eventOff;
+        std::vector<Event> events;
+        std::vector<std::uint32_t> predOff;
+        std::vector<std::uint32_t> preds;
+        /** CSR by function raw id. */
+        std::vector<std::uint32_t> retOff;
+        std::vector<std::uint32_t> rets;
+    };
+
+    /** Build graph_ (sequential, deterministic). */
+    void buildBlockGraph();
 
     /**
-     * Candidate-independent flattened hint index for the walk phase:
-     * for every instruction, the alias-root closure of each of its
-     * hints, pooled into flat arrays. rootsOf(hint.value) depends
-     * only on frozen state, so flattening it once per stage (instead of
-     * probing the walker memo per hint on every one of the hundreds of
-     * millions of CFG-walk steps) answers the annotation check with the
-     * exact same root sets - site types are unchanged, only the probe
-     * cost moves out of the hot loop. Built through the shared summary
-     * store; closures computed fresh here are published for the waves.
+     * Candidate-independent hint index for batch runs: for every
+     * instruction, the alias-root closure of each of its hints, pooled
+     * into flat arrays, plus the inverse map the relevance filter
+     * needs (root -> functions holding a hint with that root; callers
+     * come from the schedule's call-graph condensation).
+     * rootsOf(hint.value) depends only on frozen
+     * state, so flattening it once per stage answers the annotation
+     * check with the exact same root sets. Built through the shared
+     * summary store; closures computed fresh here are published for
+     * the waves. Memo runs do not build it: their touch capture must
+     * see every hint root query a candidate's answer depends on.
      */
     struct FlatHints
     {
@@ -170,39 +217,34 @@ class FlowRefinement
         std::vector<std::pair<std::uint32_t, std::uint32_t>> instSpan;
         std::vector<Span> spans;
         std::vector<std::uint32_t> rootPool;  ///< Root value raw ids.
+        /** CSR by root value raw id: functions holding its hints. */
+        std::vector<std::uint32_t> funcOff;
+        std::vector<std::uint32_t> funcs;
     };
 
     /** Build flat_ (sequential; publishes fresh closures). */
     void buildFlatHints(WalkStats &stats);
 
-    /**
-     * The backward-step relation of REACHABLE_TYPES flattened into a
-     * tagged CSR adjacency. Entries are emitted in exactly the order
-     * the interpreted walk pushes work items - call descents, then the
-     * in-block predecessor (which suppresses the rest) or block
-     * predecessors plus the caller ascent - so the DFS order, and
-     * therefore the budget-truncation point of every walk, is
-     * unchanged. Only dynamic checks (stack depth, empty context)
-     * stay in the hot loop.
-     */
-    struct FlatCfg
-    {
-        static constexpr std::uint32_t kStep = 0;    ///< Same context.
-        static constexpr std::uint32_t kCall = 1;    ///< Push this inst.
-        static constexpr std::uint32_t kAscend = 2;  ///< Pop to caller.
-        static constexpr std::uint32_t kPayload = 0x3fffffffu;
+    /** Mark the call-graph SCCs whose call closure holds a matching
+     *  hint. */
+    void markRelevant(Worker &w) const;
 
-        /** Per instruction: (first entry, entry count) into pool. */
-        std::vector<std::pair<std::uint32_t, std::uint32_t>> rowSpan;
-        /** Tag in bits 30-31, target inst raw id in bits 0-29. */
-        std::vector<std::uint32_t> pool;
-    };
+    /** False when the relevance filter rules out `func`'s summary. */
+    bool isRelevant(const Worker &w, std::uint32_t func) const;
 
-    /** Build fcfg_ (pure CFG structure; sequential, deterministic). */
-    void buildFlatCfg();
+    /** Append the types of `inst`'s hints whose roots meet the
+     *  candidate's root set; true when any matched. */
+    bool collectMatching(Worker &w, std::uint32_t inst,
+                         std::vector<TypeRef> &types) const;
 
-    /** REACHABLE_TYPES over the flattened index + adjacency. */
-    std::vector<TypeRef> reachableTypesFlat(Worker &w, InstId site);
+    /** Enter summary node `node` (site scans start at `site`). */
+    void openNode(Worker &w, std::uint32_t node, InstId site) const;
+
+    /** Leave the innermost node; its result joins its parent's. */
+    void closeNode(Worker &w) const;
+
+    /** REACHABLE_TYPES of `site` (sorted, distinct). */
+    void evalSite(Worker &w, InstId site, std::vector<TypeRef> &types) const;
 
     Module &module_;
     const Ddg &ddg_;
@@ -213,9 +255,8 @@ class FlowRefinement
     WalkBudget budget_;
     RefineMemo *memo_;
     InstIndex instIndex_;
-    std::unordered_map<std::uint32_t, Cfg> cfg_cache_;
+    BlockGraph graph_;
     FlatHints flat_;
-    FlatCfg fcfg_;
     bool flatReady_ = false;
 };
 

@@ -28,6 +28,14 @@ idOk(Id<Tag> id, std::size_t pool_size)
     return !id.valid() || id.index() < pool_size;
 }
 
+/** A slot that must name a real element: the sentinel is refused. */
+template <typename Tag>
+bool
+realIdOk(Id<Tag> id, std::size_t pool_size)
+{
+    return id.valid() && id.index() < pool_size;
+}
+
 /**
  * Externals reference interned types; pool them first so the decoder
  * can rebuild the TypeTable before the externs pool. Extern signatures
@@ -88,8 +96,11 @@ readTypesAndExterns(ByteReader &in, Module &out)
 
 /**
  * Cross-pool id validation: every stored id must be the invalid
- * sentinel or index into its (now fully sized) pool. This keeps a
- * corrupted-but-well-framed snapshot from crashing later passes.
+ * sentinel or index into its (now fully sized) pool. Slots that always
+ * name a real element - a function's blocks, a block's instructions,
+ * operands and br/jmp targets, which verifyModule dereferences - must
+ * not hold the sentinel either. This keeps a corrupted-but-well-framed
+ * snapshot from crashing the verifier or later passes.
  */
 bool
 validateModuleIds(const Module &out)
@@ -115,7 +126,7 @@ validateModuleIds(const Module &out)
             if (!idOk(p, out.numValues()))
                 return false;
         for (const BlockId b : f.blocks)
-            if (!idOk(b, out.numBlocks()))
+            if (!realIdOk(b, out.numBlocks()))
                 return false;
     }
     for (std::size_t i = 0; i < out.numBlocks(); ++i) {
@@ -124,7 +135,7 @@ validateModuleIds(const Module &out)
         if (!idOk(b.func, out.numFuncs()) || !idOk(b.name, num_names))
             return false;
         for (const InstId inst : b.insts)
-            if (!idOk(inst, out.numInsts()))
+            if (!realIdOk(inst, out.numInsts()))
                 return false;
     }
     for (std::size_t i = 0; i < out.numValues(); ++i) {
@@ -148,8 +159,14 @@ validateModuleIds(const Module &out)
                 !idOk(inst.parent, out.numBlocks())) {
             return false;
         }
+        const bool branch = inst.op == Opcode::Br || inst.op == Opcode::Jmp;
+        if (branch && !realIdOk(inst.thenBlock, out.numBlocks()))
+            return false;
+        if (inst.op == Opcode::Br &&
+                !realIdOk(inst.elseBlock, out.numBlocks()))
+            return false;
         for (const ValueId op : out.operands(inst))
-            if (!idOk(op, out.numValues()))
+            if (!realIdOk(op, out.numValues()))
                 return false;
         for (const BlockId b : out.phiBlocks(inst))
             if (!idOk(b, out.numBlocks()))

@@ -158,8 +158,9 @@ RefWalker::reachableTypesRef(InstId site, const std::set<ValueId> &roots)
             work.push_back(CfgFrame{next, std::move(ctx)});
     };
 
-    std::size_t steps = 0;
-    while (!work.empty() && ++steps <= budget_.maxVisited) {
+    // Algorithm 2 exactly: no step or depth budget. The visited key
+    // (instruction, context top) bounds the walk on any input.
+    while (!work.empty()) {
         CfgFrame item = std::move(work.back());
         work.pop_back();
         const Instruction &inst = module_.inst(item.inst);
@@ -187,8 +188,7 @@ RefWalker::reachableTypesRef(InstId site, const std::set<ValueId> &roots)
 
         // Descend into direct callees: the callee body executes before
         // control returns to this point.
-        if (inst.op == Opcode::Call && inst.callee.valid() &&
-                item.ctx.size() < budget_.maxStack) {
+        if (inst.op == Opcode::Call && inst.callee.valid()) {
             for (const BlockId bid : module_.func(inst.callee).blocks) {
                 const BasicBlock &bb = module_.block(bid);
                 if (bb.insts.empty() ||

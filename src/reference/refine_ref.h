@@ -6,14 +6,17 @@
  *
  * Production (core/refine_ctx.h, core/refine_flow.h) walks with
  * interned contexts, epoch scratch, memoized and cross-SCC-shared
- * closures, flattened hint/CFG indexes and bottom-up SCC waves on the
- * task pool. The reference does none of that: RefWalker is the
- * original walker (a std::set visited per query, a context vector
- * copied on every crossing), and referenceInfer merges its answers over
- * one worklist in the stage order core/pipeline.cc documents. Both
- * expand the same frames in the same order under the same WalkBudget,
- * so the overlays must agree entry for entry, by TypeRef id (types
- * are hash-consed in the module's shared TypeTable).
+ * closures, a flattened hint index, per-candidate block and callee
+ * summaries and bottom-up SCC waves on the task pool. The reference
+ * does none of that: RefWalker is the original walker (a std::set
+ * visited per query, a context vector copied on every crossing), and
+ * referenceInfer merges its answers over one worklist in the stage
+ * order core/pipeline.cc documents. Its DDG queries expand the same
+ * frames in the same order as production under the same WalkBudget;
+ * its REACHABLE_TYPES walk is the uncapped Algorithm 2, the exact set
+ * production's summaries compute. So the overlays must agree entry
+ * for entry, by TypeRef id (types are hash-consed in the module's
+ * shared TypeTable).
  *
  * Only tests, the fuzz harness and benches link this library.
  */
@@ -54,7 +57,7 @@ class RefWalker
     /**
      * REACHABLE_TYPES (Algorithm 2): backward CFG walk from `site`;
      * the first hint on a value sharing a root with `roots` ends each
-     * path and is collected.
+     * path and is collected. No budget: the walk runs to completion.
      */
     std::vector<TypeRef> reachableTypesRef(InstId site,
                                            const std::set<ValueId> &roots);

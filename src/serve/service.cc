@@ -1,5 +1,8 @@
 #include "serve/service.h"
 
+#include <exception>
+#include <string>
+
 #include "support/task_pool.h"
 
 namespace manta {
@@ -96,7 +99,16 @@ Service::handleLine(const std::string &line)
             payload = errorValue(errc::kBadRequest,
                                  "missing string field 'method'");
         } else {
-            payload = dispatch(method->asString(), request.get("params"));
+            // The last line of defence for "never throws": whatever a
+            // handler lets escape becomes a structured internal error
+            // instead of ending the connection (or the daemon).
+            try {
+                payload = dispatch(method->asString(), request.get("params"));
+            } catch (const std::exception &e) {
+                payload = errorValue(errc::kInternalError,
+                                     std::string("internal error: ") +
+                                         e.what());
+            }
         }
     }
 

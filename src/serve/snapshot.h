@@ -51,7 +51,12 @@
 namespace manta {
 namespace serve {
 
-constexpr std::uint32_t kSnapshotVersion = 2;
+/**
+ * Format version. 3: flow-sensitive records are exact (no step
+ * budget); version 2 records came from a truncating walk and must not
+ * be replayed as warm answers.
+ */
+constexpr std::uint32_t kSnapshotVersion = 3;
 
 /** Section ids (stable; new sections append ids, retired ids stay unused). */
 enum class SnapshotSection : std::uint32_t {

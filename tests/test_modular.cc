@@ -5,7 +5,10 @@
  * contract that production refinement (bottom-up SCC waves over the
  * shared summary store) produces the same overlays as the sequential
  * one-worklist reference (reference/refine_ref.h), for the full
- * pipeline and for the fig9 ablation groups.
+ * pipeline and for the fig9 ablation groups. The FlowSummary suite
+ * pins the exact flow-sensitive evaluation: no truncation, transitive
+ * callee summaries, the relevance filter's pruning, and strong updates
+ * on call instructions.
  */
 #include <gtest/gtest.h>
 
@@ -324,6 +327,212 @@ entry:
     EXPECT_EQ(diffOverlays(analyzer.infer(HybridConfig::full()),
                            referenceInfer(analyzer, HybridConfig::full())),
               "");
+}
+
+// ---- Exact flow-sensitive summaries -------------------------------
+
+FuncId
+funcNamed(const Module &m, const std::string &name)
+{
+    for (std::size_t f = 0; f < m.numFuncs(); ++f) {
+        const FuncId fid(static_cast<FuncId::RawType>(f));
+        if (m.str(m.func(fid).name) == name)
+            return fid;
+    }
+    return FuncId::invalid();
+}
+
+/** First instruction of `fid`'s entry block (an argument's def site). */
+InstId
+entryInst(const Module &m, FuncId fid)
+{
+    return m.block(m.func(fid).entry()).insts.front();
+}
+
+/** A function of `n` hint-free adds: lifts a module past the flat-index
+ *  gate without adding a hint or a call. */
+std::string
+filler(std::size_t n)
+{
+    std::string text = "func @filler(%x:64) {\nentry:\n";
+    for (std::size_t i = 0; i < n; ++i)
+        text += "  %f" + std::to_string(i) + " = add %x, " +
+                std::to_string(i + 1) + ":64\n";
+    return text + "  ret %x\n}\n";
+}
+
+/** The stage alone on `candidates`, as the pipeline would run it. */
+FlowRefineResult
+runFlow(Module &m, const std::vector<ValueId> &candidates)
+{
+    MantaAnalyzer analyzer(m);
+    TypeEnv env(m.types());
+    FnSummaryStore store;
+    FlowRefinement fs(m, analyzer.ddg(), analyzer.hints(), env,
+                      analyzer.schedule(), store);
+    return fs.run(candidates);
+}
+
+// f -> g -> h; the only hint on f's parameter's roots is h's load.
+const char *kCalleeChain = R"(
+func @h(%p:64) {
+entry:
+  %v = load.64 %p
+  ret %v
+}
+func @g(%p:64) {
+entry:
+  %r = call.64 @h(%p)
+  ret %r
+}
+)";
+
+TEST(FlowSummary, FfmpegIsExactWithoutTruncation)
+{
+    // The old per-site walk cut 24 ffmpeg walks off at the step budget;
+    // the summaries answer every site in full, bound for bound equal to
+    // the uncapped reference.
+    const ProjectProfile profile = standardCorpus().back();
+    ASSERT_EQ(profile.name, "ffmpeg");
+    GeneratedProgram prog = buildProject(profile);
+    makeAcyclic(*prog.module);
+    MantaAnalyzer analyzer(*prog.module);
+    const InferenceResult result = analyzer.infer(HybridConfig::full());
+    EXPECT_GT(result.profile().fsWalk.queries, 0u);
+    EXPECT_EQ(result.profile().fsWalk.truncated, 0u);
+    EXPECT_EQ(diffOverlays(result,
+                           referenceInfer(analyzer, HybridConfig::full())),
+              "");
+}
+
+TEST(FlowSummary, TransitiveCalleeHintIsCollected)
+{
+    // Below the gate (unfiltered) and above it (relevance filter on),
+    // f's def site reaches h's load through two callee summaries.
+    for (const std::size_t pad : {std::size_t{0}, std::size_t{600}}) {
+        Module m = parseModuleOrDie(std::string(kCalleeChain) + R"(
+func @f(%q:64) {
+entry:
+  %r = call.64 @g(%q)
+  ret %r
+}
+)" + (pad > 0 ? filler(pad) : std::string()));
+        ASSERT_EQ(FlowRefinement::flatIndexEligible(m), pad > 0);
+        makeAcyclic(m);
+        const FuncId f = funcNamed(m, "f");
+        const ValueId q = m.func(f).params[0];
+        const FlowRefineResult out = runFlow(m, {q});
+        const auto it = out.siteBounds.find(SiteVar{q, entryInst(m, f)});
+        ASSERT_NE(it, out.siteBounds.end()) << pad;
+        TypeTable &tt = m.types();
+        EXPECT_EQ(it->second.upper, tt.ptr(tt.reg(64))) << pad;
+        EXPECT_EQ(it->second.lower, tt.ptr(tt.reg(64))) << pad;
+        EXPECT_EQ(out.walk.truncated, 0u);
+
+        MantaAnalyzer analyzer(m);
+        EXPECT_EQ(diffOverlays(analyzer.infer(HybridConfig::fsOnly()),
+                               referenceInfer(analyzer,
+                                              HybridConfig::fsOnly())),
+                  "")
+            << pad;
+    }
+}
+
+TEST(FlowSummary, IrrelevantSiblingChainIsSkipped)
+{
+    // f also calls s1 -> s2, whose 600 hint-bearing muls never meet q's
+    // roots. Walking that chain costs at least one step per
+    // instruction; the relevance filter skips it, so adding the call
+    // costs f's candidate almost nothing - and changes no answer.
+    constexpr std::size_t kChain = 600;
+    std::string chain = "func @s2(%x:64) {\nentry:\n  %m0 = mul %x, 3:64\n";
+    for (std::size_t i = 1; i < kChain; ++i)
+        chain += "  %m" + std::to_string(i) + " = mul %m" +
+                 std::to_string(i - 1) + ", 3:64\n";
+    chain += "  ret %m" + std::to_string(kChain - 1) + "\n}\n";
+    chain += R"(
+func @s1(%x:64) {
+entry:
+  %r = call.64 @s2(%x)
+  ret %r
+}
+)";
+    auto run = [&](const char *first) {
+        Module m = parseModuleOrDie(chain + kCalleeChain +
+                                    "func @f(%q:64) {\nentry:\n  " +
+                                    first +
+                                    "\n  %r = call.64 @g(%q)\n  ret %r\n}\n");
+        EXPECT_TRUE(FlowRefinement::flatIndexEligible(m));
+        makeAcyclic(m);
+        const FuncId f = funcNamed(m, "f");
+        const ValueId q = m.func(f).params[0];
+        const FlowRefineResult out = runFlow(m, {q});
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> bounds;
+        for (const InstId s : {entryInst(m, f),
+                               m.block(m.func(f).entry()).insts[1]}) {
+            const BoundPair &bp = out.siteBounds.at(SiteVar{q, s});
+            bounds.emplace_back(bp.upper.raw(), bp.lower.raw());
+        }
+        return std::make_pair(out.walk.steps, bounds);
+    };
+    const auto with_chain = run("%s = call.64 @s1(7:64)");
+    const auto without = run("%s = add 7:64, 1:64");
+    EXPECT_EQ(with_chain.second, without.second);
+    ASSERT_GE(with_chain.first, without.first);
+    EXPECT_LT(with_chain.first - without.first, kChain)
+        << "steps with the sibling call " << with_chain.first
+        << ", without " << without.first;
+}
+
+TEST(FlowSummary, HintOnCallStopsBeforeTheCallee)
+{
+    // The same call instruction reveals q (an external signature) and
+    // enters g, whose load also meets q's roots. The annotation check
+    // comes first, so the path stops at the call: only the external's
+    // parameter type is collected. Without the hint, g's load is.
+    const std::string text = R"(
+func @g(%p:64) {
+entry:
+  %v = load.64 %p
+  ret %v
+}
+func @u(%s:64) {
+entry:
+  %n = call.64 @strlen(%s)
+  ret %n
+}
+func @f(%q:64) {
+entry:
+  %r = call.64 @g(%q)
+  ret %r
+}
+)";
+    for (const bool hinted : {false, true}) {
+        Module m = parseModuleOrDie(text);
+        const FuncId f = funcNamed(m, "f");
+        const ExternId strlen_id =
+            m.inst(entryInst(m, funcNamed(m, "u"))).external;
+        ASSERT_TRUE(strlen_id.valid());
+        const InstId call = entryInst(m, f);
+        if (hinted)
+            m.inst(call).external = strlen_id;
+        makeAcyclic(m);
+        const ValueId q = m.func(f).params[0];
+        const FlowRefineResult out = runFlow(m, {q});
+        const BoundPair &bp = out.siteBounds.at(SiteVar{q, call});
+        TypeTable &tt = m.types();
+        const TypeRef want = hinted ? m.external(strlen_id).paramTypes[0]
+                                    : tt.ptr(tt.reg(64));
+        EXPECT_EQ(bp.upper, want) << tt.toString(bp.upper);
+        EXPECT_EQ(bp.lower, want) << tt.toString(bp.lower);
+
+        MantaAnalyzer analyzer(m);
+        EXPECT_EQ(diffOverlays(analyzer.infer(HybridConfig::fsOnly()),
+                               referenceInfer(analyzer,
+                                              HybridConfig::fsOnly())),
+                  "")
+            << hinted;
+    }
 }
 
 } // namespace

@@ -332,9 +332,10 @@ TEST(ServeSnapshot, VersionMismatchIsRejected)
     ASSERT_TRUE(saver.saveSnapshot(bytes, error)) << error;
 
     // The u32 format version sits right after the 4-byte magic. Version
-    // 1 files (which also carried an element-wise MIR section) and
-    // future versions are both refused.
-    for (const std::uint32_t version : {1u, kSnapshotVersion + 1}) {
+    // 1 files (which also carried an element-wise MIR section), version
+    // 2 files (flow-sensitive records from a budget-truncated walk) and
+    // future versions are all refused.
+    for (const std::uint32_t version : {1u, 2u, kSnapshotVersion + 1}) {
         std::string bad = bytes;
         bad[4] = static_cast<char>(version);
         BinarySession loader("snap");
@@ -464,6 +465,96 @@ TEST(ServeSnapshot, MirFailingVerificationIsRejected)
         << load_error;
     EXPECT_FALSE(loader.hasResult());
     EXPECT_TRUE(loader.analyze(text.str()).ok);
+}
+
+TEST(ServeSnapshot, SentinelBlockIdIsRejected)
+{
+    BinarySession saver("snap");
+    ASSERT_TRUE(saver.analyze(kChainText).ok);
+    std::string bytes, error;
+    ASSERT_TRUE(saver.saveSnapshot(bytes, error)) << error;
+
+    // Decode, replace a function's entry block with the invalid
+    // sentinel and re-seal: every checksum and range check passes, and
+    // the verifier would dereference the sentinel. The id check must
+    // refuse it first, with an error rather than an exception.
+    Module module;
+    IncrementalMemo memo;
+    SnapshotContents contents;
+    ASSERT_TRUE(readSnapshot(bytes, module, memo, contents, error)) << error;
+    module.func(FuncId(0)).blocks[0] = BlockId::invalid();
+    const std::string crafted =
+        writeSnapshot(module, contents.meta, contents.funcs,
+                      contents.digests, memo, contents.results);
+
+    BinarySession loader("snap");
+    std::string load_error;
+    EXPECT_FALSE(loader.loadSnapshot(crafted, load_error));
+    EXPECT_FALSE(load_error.empty());
+    EXPECT_FALSE(loader.hasResult());
+    EXPECT_TRUE(loader.analyze(kChainText).ok);
+}
+
+TEST(ServeIdentity, EditMakingATransitiveCalleeRelevantMatchesCold)
+{
+    // @a's buffer reaches @h through @g. At first @h reads nothing
+    // through it; the edit adds a load there, so a callee two calls
+    // away from @a's sites now holds a hint on the buffer's roots.
+    // Every record that read @h must be dropped: warm == cold.
+    const char *before = R"(
+func @h(%p:64) {
+entry:
+  %v = add %p, 1:64
+  ret %v
+}
+func @g(%p:64) {
+entry:
+  %r = call.64 @h(%p)
+  ret %r
+}
+func @a() {
+entry:
+  %buf = alloca 16
+  %r = call.64 @g(%buf)
+  %x = add %buf, 8:64
+  ret %r
+}
+)";
+    const char *after = R"(
+func @h(%p:64) {
+entry:
+  %v = load.32 %p
+  ret %v
+}
+func @g(%p:64) {
+entry:
+  %r = call.64 @h(%p)
+  ret %r
+}
+func @a() {
+entry:
+  %buf = alloca 16
+  %r = call.64 @g(%buf)
+  %x = add %buf, 8:64
+  ret %r
+}
+)";
+    BinarySession warm("warm");
+    ASSERT_TRUE(warm.analyze(before).ok);
+    const AnalyzeOutcome out = warm.analyze(after);
+    ASSERT_TRUE(out.ok);
+    EXPECT_EQ(out.dirty, std::vector<std::string>{"h"});
+
+    BinarySession cold("cold");
+    ASSERT_TRUE(cold.analyze(after).ok);
+    BinarySession cold_before("cold_before");
+    ASSERT_TRUE(cold_before.analyze(before).ok);
+    EXPECT_NE(cold.renderTypes(), cold_before.renderTypes());
+
+    EXPECT_EQ(warm.renderTypes(), cold.renderTypes());
+    EXPECT_EQ(warm.renderLint(), cold.renderLint());
+    EXPECT_EQ(warm.renderIcall(), cold.renderIcall());
+    EXPECT_EQ(warm.renderTaint(), cold.renderTaint());
 }
 
 TEST(ServeKeys, TextHashIsStableAndSensitive)
