@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "core/wave_walk.h"
+#include "support/binio.h"
 
 namespace manta {
 
@@ -78,7 +79,9 @@ buildCsr(std::vector<std::pair<std::uint32_t, std::uint32_t>> &pairs,
  * tables back the CFG evaluation and are reset per candidate.
  * Everything a worker touches beyond this is frozen for the whole
  * phase. The stats/harvest trio is what runWalkWaves
- * (core/wave_walk.h) drives.
+ * (core/wave_walk.h) drives. In memo runs (touch capture on) the
+ * worker also records, per candidate, the hint closures it replayed
+ * and the callees the relevance filter skipped.
  */
 struct FlowRefinement::Worker
 {
@@ -109,6 +112,18 @@ struct FlowRefinement::Worker
         walker.harvestSummaries(delta, schedule);
     }
 
+    /** Reset the per-candidate capture state (memo runs). */
+    void
+    beginCapture()
+    {
+        walker.beginCandidate();
+        replayed.newEpoch();
+        scanned.newEpoch();
+        skipSeen.newEpoch();
+        skipped.clear();
+        poisoned = false;
+    }
+
     /** Fresh summary tables for the next candidate (no clearing). */
     void
     beginTables(std::size_t nodes)
@@ -123,7 +138,7 @@ struct FlowRefinement::Worker
     EpochFlags roots;       ///< Current candidate's alias-root set.
     std::vector<std::uint32_t> rootList;
     EpochFlags relevant;    ///< Call-graph SCCs the relevance filter keeps.
-    std::vector<std::uint32_t> queue;
+    std::vector<std::uint32_t> queue;  ///< Relevance BFS / capture scan.
 
     std::vector<NodeState> state;
     std::uint32_t epoch = 0;
@@ -133,6 +148,12 @@ struct FlowRefinement::Worker
     std::vector<std::vector<TypeRef>> accs;  ///< One per open frame.
     std::vector<TypeRef> tmp;
     WalkStats cfgStats;     ///< CFG counters (walker has its own).
+
+    EpochFlags replayed;    ///< Hint closures whose touches were replayed.
+    EpochFlags scanned;     ///< Blocks captureIrrelevantSite recorded.
+    EpochFlags skipSeen;
+    std::vector<std::uint32_t> skipped;  ///< Callees the filter skipped.
+    bool poisoned = false;  ///< Read a poisoned closure or digest.
 };
 
 FlowRefinement::FlowRefinement(Module &module, const Ddg &ddg,
@@ -199,7 +220,8 @@ FlowRefinement::buildBlockGraph()
 }
 
 void
-FlowRefinement::buildFlatHints(WalkStats &stats)
+FlowRefinement::buildFlatHints(WalkStats &stats, const std::uint32_t *owners,
+                               std::size_t owners_count)
 {
     // Single sequential pass in instruction order: one walker computes
     // (or borrows from the shared store) the alias-root closure of
@@ -209,38 +231,54 @@ FlowRefinement::buildFlatHints(WalkStats &stats)
     TypeTable &tt = module_.types();
     Worker w(ddg_, &env_, tt, budget_);
     w.walker.attachSharedSummaries(&summaries_);
-    const std::size_t ni = module_.numInsts();
-    flat_.instSpan.assign(ni, {0, 0});
+    const bool capture = owners != nullptr;
+    if (capture)
+        w.walker.enableTouchCapture(owners, owners_count);
+    FlatHints &fh = flat_;
+    fh = FlatHints{};
+    fh.instSpan.assign(module_.numInsts(), {0, 0});
+    fh.rootOff.assign(1, 0);
+    if (capture)
+        fh.touchOff.assign(1, 0);
     // Hint values repeat across sites; flatten each closure once.
-    std::unordered_map<std::uint32_t,
-                       std::pair<std::uint32_t, std::uint32_t>> pooled;
+    std::unordered_map<std::uint32_t, std::uint32_t> closure_of;
     // (root, function holding a hint with that root).
     std::vector<std::pair<std::uint32_t, std::uint32_t>> root_funcs;
-    for (std::size_t i = 0; i < ni; ++i) {
+    for (std::size_t i = 0; i < fh.instSpan.size(); ++i) {
         const InstId iid(static_cast<InstId::RawType>(i));
         const std::vector<TypeHint> &hints = hints_.at(iid);
         if (hints.empty())
             continue;
         const std::uint32_t func =
             module_.block(module_.inst(iid).parent).func.raw();
-        flat_.instSpan[i] = {static_cast<std::uint32_t>(flat_.spans.size()),
-                             static_cast<std::uint32_t>(hints.size())};
+        fh.instSpan[i] = {static_cast<std::uint32_t>(fh.spans.size()),
+                          static_cast<std::uint32_t>(hints.size())};
         for (const TypeHint &hint : hints) {
-            auto [it, fresh] = pooled.try_emplace(hint.value.raw());
+            const auto [it, fresh] = closure_of.try_emplace(
+                hint.value.raw(),
+                static_cast<std::uint32_t>(fh.rootOff.size() - 1));
             if (fresh) {
-                const auto begin =
-                    static_cast<std::uint32_t>(flat_.rootPool.size());
+                if (capture)
+                    w.walker.beginCandidate();
                 for (const ValueId r : w.walker.rootsOf(hint.value))
-                    flat_.rootPool.push_back(r.raw());
-                it->second = {begin,
-                              static_cast<std::uint32_t>(
-                                  flat_.rootPool.size()) - begin};
+                    fh.rootPool.push_back(r.raw());
+                fh.rootOff.push_back(
+                    static_cast<std::uint32_t>(fh.rootPool.size()));
+                if (capture) {
+                    const std::vector<std::uint32_t> &touched =
+                        w.walker.candidateTouched();
+                    fh.touchPool.insert(fh.touchPool.end(), touched.begin(),
+                                        touched.end());
+                    fh.touchOff.push_back(
+                        static_cast<std::uint32_t>(fh.touchPool.size()));
+                    fh.poisoned.push_back(
+                        w.walker.candidatePoisoned() ? 1 : 0);
+                }
             }
-            flat_.spans.push_back(
-                {hint.type, it->second.first, it->second.second});
-            for (std::uint32_t j = 0; j < it->second.second; ++j)
-                root_funcs.emplace_back(
-                    flat_.rootPool[it->second.first + j], func);
+            const std::uint32_t c = it->second;
+            fh.spans.push_back({hint.type, c});
+            for (std::uint32_t j = fh.rootOff[c]; j < fh.rootOff[c + 1]; ++j)
+                root_funcs.emplace_back(fh.rootPool[j], func);
         }
     }
     stats.merge(w.walker.stats());
@@ -249,8 +287,76 @@ FlowRefinement::buildFlatHints(WalkStats &stats)
     summaries_.publish(std::move(delta));
 
     // Inverse map for the relevance filter.
-    buildCsr(root_funcs, module_.numValues(), flat_.funcOff, flat_.funcs);
+    buildCsr(root_funcs, module_.numValues(), fh.funcOff, fh.funcs);
     flatReady_ = true;
+}
+
+void
+FlowRefinement::buildClosureDigests(const std::uint64_t *substrate,
+                                    std::size_t count)
+{
+    // D(s) = H(sorted substrate hashes of s's members and of every
+    // function their hints' root queries touched; sorted D of s's
+    // callee SCCs). Waves run leaves first, so callee digests are
+    // final when a caller folds them in. Hashing values, not raw ids,
+    // keeps D comparable across runs that renumber functions.
+    const SccGraph &sccs = schedule_.sccs();
+    std::vector<std::uint64_t> scc_digest(sccs.numSccs(), 0);
+    EpochFlags closure_seen;
+    EpochFlags func_seen;
+    std::vector<std::uint64_t> items;
+    std::vector<std::uint64_t> callees;
+    for (std::size_t level = 0; level < sccs.numWaves(); ++level) {
+        for (const std::uint32_t s : sccs.wave(level)) {
+            closure_seen.newEpoch();
+            func_seen.newEpoch();
+            items.clear();
+            callees.clear();
+            bool poisoned = false;
+            auto add = [&](std::uint32_t f) {
+                if (func_seen.mark(f))
+                    items.push_back(f < count ? substrate[f] : 0);
+            };
+            for (const FuncId member : sccs.members(s)) {
+                add(member.raw());
+                for (const BlockId b : module_.func(member).blocks) {
+                    for (const InstId i : module_.block(b).insts) {
+                        const auto [first, n] = flat_.instSpan[i.raw()];
+                        for (std::uint32_t h = first; h < first + n; ++h) {
+                            const std::uint32_t c = flat_.spans[h].closure;
+                            if (!closure_seen.mark(c))
+                                continue;
+                            poisoned |= flat_.poisoned[c] != 0;
+                            for (std::uint32_t t = flat_.touchOff[c];
+                                    t < flat_.touchOff[c + 1]; ++t)
+                                add(flat_.touchPool[t]);
+                        }
+                    }
+                }
+            }
+            for (const std::uint32_t callee : sccs.calleeSccs(s)) {
+                poisoned |= scc_digest[callee] == 0;
+                callees.push_back(scc_digest[callee]);
+            }
+            if (poisoned)
+                continue;
+            std::sort(items.begin(), items.end());
+            std::sort(callees.begin(), callees.end());
+            Fnv64 h;
+            h.u32(static_cast<std::uint32_t>(items.size()));
+            for (const std::uint64_t x : items)
+                h.u64(x);
+            h.u32(static_cast<std::uint32_t>(callees.size()));
+            for (const std::uint64_t x : callees)
+                h.u64(x);
+            scc_digest[s] = h.value() != 0 ? h.value() : 1;
+        }
+    }
+    const std::size_t nf = module_.numFuncs();
+    flat_.digest.resize(nf);
+    for (std::size_t f = 0; f < nf; ++f)
+        flat_.digest[f] = scc_digest[sccs.sccOf(
+            FuncId(static_cast<FuncId::RawType>(f)))];
 }
 
 void
@@ -282,10 +388,74 @@ FlowRefinement::markRelevant(Worker &w) const
 }
 
 bool
-FlowRefinement::isRelevant(const Worker &w, std::uint32_t func) const
+FlowRefinement::isRelevant(Worker &w, std::uint32_t func) const
 {
-    return !flatReady_ ||
-           w.relevant.marked(schedule_.sccs().sccOf(FuncId(func)));
+    if (!flatReady_ ||
+            w.relevant.marked(schedule_.sccs().sccOf(FuncId(func))))
+        return true;
+    // The skip reads all of func's call closure, which D(scc(func))
+    // stands for as one dependency.
+    if (w.walker.captureEnabled() && w.skipSeen.mark(func)) {
+        w.skipped.push_back(func);
+        if (flat_.digest[func] == 0)
+            w.poisoned = true;
+    }
+    return false;
+}
+
+void
+FlowRefinement::replayClosure(Worker &w, std::uint32_t closure) const
+{
+    // What the hint's root query read, once per candidate.
+    if (!w.replayed.mark(closure))
+        return;
+    if (flat_.poisoned[closure] != 0)
+        w.poisoned = true;
+    for (std::uint32_t t = flat_.touchOff[closure];
+            t < flat_.touchOff[closure + 1]; ++t)
+        w.walker.noteFunc(flat_.touchPool[t]);
+}
+
+void
+FlowRefinement::captureIrrelevantSite(Worker &w, InstId site) const
+{
+    // No hint in the function meets R, so the evaluation would scan
+    // every block backward-reachable from the site without stopping:
+    // record those blocks' hint root queries and skipped callees, not
+    // the digest of the whole function, whose later callees and hints
+    // the answer never reads.
+    const BlockId parent = module_.inst(site).parent;
+    w.walker.noteFunc(module_.block(parent).func.raw());
+    auto scan = [&](std::uint32_t b, std::uint32_t limit) {
+        for (std::uint32_t e = graph_.eventOff[b]; e < graph_.eventOff[b + 1];
+                ++e) {
+            const BlockGraph::Event &ev = graph_.events[e];
+            if (ev.pos > limit)
+                continue;
+            if (ev.hinted) {
+                const auto [first, count] = flat_.instSpan[ev.inst];
+                for (std::uint32_t h = 0; h < count; ++h)
+                    replayClosure(w, flat_.spans[first + h].closure);
+            }
+            // Callees of a filtered-out function are filtered out too;
+            // the call records the skip.
+            if (ev.callee != BlockGraph::kNoCallee)
+                (void)isRelevant(w, ev.callee);
+        }
+        for (std::uint32_t i = graph_.predOff[b]; i < graph_.predOff[b + 1];
+                ++i) {
+            if (w.scanned.mark(graph_.preds[i]))
+                w.queue.push_back(graph_.preds[i]);
+        }
+    };
+    w.queue.clear();
+    scan(parent.raw(),
+         static_cast<std::uint32_t>(instIndex_.positionInBlock(site)));
+    while (!w.queue.empty()) {
+        const std::uint32_t b = w.queue.back();
+        w.queue.pop_back();
+        scan(b, 0xffffffffu);
+    }
 }
 
 bool
@@ -298,8 +468,12 @@ FlowRefinement::collectMatching(Worker &w, std::uint32_t inst,
         const auto [first, count] = flat_.instSpan[inst];
         for (std::uint32_t h = 0; h < count; ++h) {
             const FlatHints::Span &span = flat_.spans[first + h];
-            for (std::uint32_t j = 0; j < span.count; ++j) {
-                if (w.roots.marked(flat_.rootPool[span.begin + j])) {
+            const std::uint32_t c = span.closure;
+            if (w.walker.captureEnabled())
+                replayClosure(w, c);
+            for (std::uint32_t j = flat_.rootOff[c]; j < flat_.rootOff[c + 1];
+                    ++j) {
+                if (w.roots.marked(flat_.rootPool[j])) {
                     types.push_back(span.type);
                     hit = true;
                     break;
@@ -421,8 +595,13 @@ FlowRefinement::evalSite(Worker &w, InstId site,
     types.clear();
     // A function outside the relevant set has no matching hint in its
     // call closure: nothing can be collected.
-    if (!isRelevant(w, module_.block(module_.inst(site).parent).func.raw()))
+    if (flatReady_ &&
+            !w.relevant.marked(schedule_.sccs().sccOf(
+                module_.block(module_.inst(site).parent).func))) {
+        if (w.walker.captureEnabled())
+            captureIrrelevantSite(w, site);
         return;
+    }
 
     const auto site_node = static_cast<std::uint32_t>(
         module_.numBlocks() + module_.numFuncs());
@@ -496,16 +675,40 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
     const std::size_t n = candidates.size();
     std::vector<CandidateOut> collected(n);
 
-    // Phase 0: site enumeration (cheap, module-derived) and memo
-    // consult. Hits skip the walk phase; their cached per-site bounds
-    // line up positionally with the regenerated site list.
     const bool use_memo = memo_ != nullptr;
+    const std::uint32_t *owners = nullptr;
+    std::size_t owners_count = 0;
+    if (use_memo)
+        owners = memo_->valueOwners(&owners_count);
+
+    // Phase 0: site enumeration (cheap, module-derived), the frozen
+    // structures the walk reads, and the memo consult. Hits skip the
+    // walk phase; their cached per-site bounds line up positionally
+    // with the regenerated site list.
     for (std::size_t i = 0; i < n; ++i)
         candidateSites(candidates[i], collected[i]);
     std::vector<FlowCached> cached(use_memo ? n : 0);
     std::vector<char> hit(n, 0);
     std::vector<std::size_t> misses;
     misses.reserve(n);
+    if (n > 0) {
+        buildBlockGraph();
+        // The flattened hint index (and the relevance filter built on
+        // it) serves modules large enough to amortize the whole-module
+        // flattening pass (kFlatIndexMinInsts; below it the answers
+        // are identical, just unfiltered). A memo run's records depend
+        // on the closure digests, so those precede the first lookup.
+        if (flatIndexEligible(module_)) {
+            buildFlatHints(result.walk, owners, owners_count);
+            if (use_memo) {
+                std::size_t count = 0;
+                const std::uint64_t *substrate =
+                    memo_->substrateHashes(&count);
+                buildClosureDigests(substrate, count);
+                memo_->setClosureDigests(flat_.digest);
+            }
+        }
+    }
     for (std::size_t i = 0; i < n; ++i) {
         if (use_memo && memo_->lookupFlow(candidates[i],
                                           collected[i].sites.size(),
@@ -517,26 +720,11 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
     }
     const std::size_t m = misses.size();
 
-    const std::uint32_t *owners = nullptr;
-    std::size_t owners_count = 0;
-    if (use_memo)
-        owners = memo_->valueOwners(&owners_count);
-
     std::vector<std::vector<std::uint32_t>> touched(use_memo ? m : 0);
+    std::vector<std::vector<std::uint32_t>> skipped(use_memo ? m : 0);
     std::vector<char> poisoned(m, 0);
 
     // Phase 1: traversal, reading only frozen state.
-    if (m > 0) {
-        buildBlockGraph();
-        // Touch capture needs the per-hint rootsOf() calls to record
-        // which functions a candidate's answer read, so the flattened
-        // index (and the relevance filter built on it) only serves
-        // memo-less batch runs - and only modules large enough to
-        // amortize the whole-module flattening pass (kFlatIndexMinInsts;
-        // below it the answers are identical, just unfiltered).
-        if (!use_memo && flatIndexEligible(module_))
-            buildFlatHints(result.walk);
-    }
     auto make = [&]() {
         auto w = std::make_unique<Worker>(ddg_, &env_, tt, budget_);
         w->walker.attachSharedSummaries(&summaries_);
@@ -546,11 +734,13 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
     };
     auto walk = [&](Worker &w, std::size_t k) {
         if (use_memo)
-            w.walker.beginCandidate();
+            w.beginCapture();
         processCandidate(w, candidates[misses[k]], collected[misses[k]]);
         if (use_memo) {
             touched[k] = w.walker.candidateTouched();
-            poisoned[k] = w.walker.candidatePoisoned() ? 1 : 0;
+            skipped[k] = w.skipped;
+            poisoned[k] =
+                w.walker.candidatePoisoned() || w.poisoned ? 1 : 0;
         }
     };
     result.walk.merge(runWalkWaves<Worker>(schedule_, summaries_, candidates,
@@ -617,7 +807,7 @@ FlowRefinement::run(const std::vector<ValueId> &candidates)
                 ++result.resolved;
         }
         if (use_memo && !poisoned[k])
-            memo_->storeFlow(v, rec, touched[k]);
+            memo_->storeFlow(v, rec, touched[k], skipped[k]);
     }
     return result;
 }

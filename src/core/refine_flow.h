@@ -25,9 +25,21 @@
  *    union of its predecessors' Out.
  * After makeAcyclic, which analyses require, every CFG and the direct
  * call graph are DAGs, so each table entry is computed once per
- * candidate, after the entries it depends on. In batch runs a
- * relevance filter skips callee g outright when no function in g's
- * call closure holds a hint whose roots meet R - pure pruning.
+ * candidate, after the entries it depends on. On modules of at least
+ * kFlatIndexMinInsts instructions a relevance filter skips callee g
+ * outright when no function in g's call closure holds a hint whose
+ * roots meet R - pure pruning, in batch and memo runs alike.
+ *
+ * Memo (serve) runs record what the filter read without listing the
+ * skipped closures function by function. Each call-graph SCC s gets a
+ * Merkle digest D(s), computed once per run bottom-up over the
+ * condensation: it hashes the substrate hashes of s's members, those
+ * of the functions their hints' root queries touched, and the D of
+ * s's callee SCCs. A skipped callee g becomes one dependency
+ * (g, D(scc(g))) of the candidate's record; a hint the evaluation
+ * examines replays its root query's touched functions. A poisoned
+ * root query (one that read an unattributable value) poisons D(s) and
+ * every candidate that skips s.
  *
  * Like the context stage, this runs as a read-only walk phase
  * (bottom-up SCC waves over the shared summary store,
@@ -110,11 +122,11 @@ class FlowRefinement
   public:
     /**
      * Modules below this instruction count skip the flattened hint
-     * index (and with it the relevance filter) in batch (memo-less)
-     * runs: flattening computes the roots of every hint in the module,
-     * and on tiny modules that costs more than the filter saves. Both
-     * ways answer with identical site types. The threshold is pinned
-     * by tests/test_modular.cc.
+     * index (and with it the relevance filter and, in memo runs, the
+     * closure digests): flattening computes the roots of every hint in
+     * the module, and on tiny modules that costs more than the filter
+     * saves. Both ways answer with identical site types. The threshold
+     * is pinned by tests/test_modular.cc.
      */
     static constexpr std::size_t kFlatIndexMinInsts = 500;
 
@@ -192,45 +204,78 @@ class FlowRefinement
     void buildBlockGraph();
 
     /**
-     * Candidate-independent hint index for batch runs: for every
-     * instruction, the alias-root closure of each of its hints, pooled
-     * into flat arrays, plus the inverse map the relevance filter
-     * needs (root -> functions holding a hint with that root; callers
-     * come from the schedule's call-graph condensation).
-     * rootsOf(hint.value) depends only on frozen
-     * state, so flattening it once per stage answers the annotation
-     * check with the exact same root sets. Built through the shared
-     * summary store; closures computed fresh here are published for
-     * the waves. Memo runs do not build it: their touch capture must
-     * see every hint root query a candidate's answer depends on.
+     * Candidate-independent hint index: for every instruction, the
+     * alias-root closure of each of its hints, pooled into flat arrays
+     * (one closure per distinct hint value), plus the inverse map the
+     * relevance filter needs (root -> functions holding a hint with
+     * that root; callers come from the schedule's call-graph
+     * condensation). rootsOf(hint.value) depends only on frozen state,
+     * so flattening it once per stage answers the annotation check
+     * with the exact same root sets. Built through the shared summary
+     * store; closures computed fresh here are published for the waves.
+     *
+     * Memo runs build it with touch capture on, so the published
+     * closures carry touched lists, and keep each closure's root-query
+     * touched list: examining a hint replays it, and the closure
+     * digests fold it in.
      */
     struct FlatHints
     {
-        /** One hint at an instruction: type + its value's roots. */
+        /** One hint at an instruction: its type and value closure. */
         struct Span
         {
             TypeRef type;
-            std::uint32_t begin;  ///< Offset into rootPool.
-            std::uint32_t count;
+            std::uint32_t closure;
         };
         /** Per instruction: (first span, span count); (0,0) = none. */
         std::vector<std::pair<std::uint32_t, std::uint32_t>> instSpan;
         std::vector<Span> spans;
-        std::vector<std::uint32_t> rootPool;  ///< Root value raw ids.
+        /** CSR by closure id: root value raw ids. */
+        std::vector<std::uint32_t> rootOff;
+        std::vector<std::uint32_t> rootPool;
         /** CSR by root value raw id: functions holding its hints. */
         std::vector<std::uint32_t> funcOff;
         std::vector<std::uint32_t> funcs;
+
+        /// @name Memo runs only.
+        /// @{
+        /** CSR by closure id: functions its root query touched. */
+        std::vector<std::uint32_t> touchOff;
+        std::vector<std::uint32_t> touchPool;
+        /** By closure id: the root query read an unattributable value. */
+        std::vector<char> poisoned;
+        /** By function raw id: D(scc(f)); 0 = poisoned. */
+        std::vector<std::uint64_t> digest;
+        /// @}
     };
 
-    /** Build flat_ (sequential; publishes fresh closures). */
-    void buildFlatHints(WalkStats &stats);
+    /** Build flat_ (sequential; publishes fresh closures). With
+     *  `owners` set, capture each closure's touched list. */
+    void buildFlatHints(WalkStats &stats, const std::uint32_t *owners,
+                        std::size_t owners_count);
+
+    /** Fill flat_.digest from this run's substrate hashes. */
+    void buildClosureDigests(const std::uint64_t *substrate,
+                             std::size_t count);
 
     /** Mark the call-graph SCCs whose call closure holds a matching
      *  hint. */
     void markRelevant(Worker &w) const;
 
-    /** False when the relevance filter rules out `func`'s summary. */
-    bool isRelevant(const Worker &w, std::uint32_t func) const;
+    /** False when the relevance filter rules out `func`'s summary; a
+     *  capturing worker then records the skip. */
+    bool isRelevant(Worker &w, std::uint32_t func) const;
+
+    /** Replay a hint closure's root-query touches (memo runs). */
+    void replayClosure(Worker &w, std::uint32_t closure) const;
+
+    /**
+     * Record what evaluating `site` would read when the relevance
+     * filter rules out its own function (memo runs): the hint closures
+     * and callees of the blocks backward-reachable from it. Capture
+     * bookkeeping, not evaluation: it counts no steps.
+     */
+    void captureIrrelevantSite(Worker &w, InstId site) const;
 
     /** Append the types of `inst`'s hints whose roots meet the
      *  candidate's root set; true when any matched. */

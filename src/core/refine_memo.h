@@ -12,7 +12,10 @@
  * implementation validates a stored record by comparing per-function
  * substrate content hashes over that recorded touched-set - verification
  * of what was read, not prediction of what might change - and the
- * stages then skip the walk phase for validated candidates.
+ * stages then skip the walk phase for validated candidates. A callee
+ * the FS relevance filter skips is recorded as one dependency on its
+ * closure digest instead (core/refine_flow.h), so a record never lists
+ * the skipped closure function by function.
  *
  * Warm results are byte-identical to cold runs at the rendered-artifact
  * level: bounds are structural types (re-interned through the current
@@ -27,6 +30,7 @@
 #ifndef MANTA_CORE_REFINE_MEMO_H
 #define MANTA_CORE_REFINE_MEMO_H
 
+#include <cstdint>
 #include <vector>
 
 #include "analysis/ddg.h"
@@ -116,9 +120,31 @@ class RefineMemo
     virtual bool lookupFlow(ValueId v, std::size_t num_sites,
                             FlowCached &out) = 0;
 
-    /** Store a freshly computed FS outcome. */
+    /**
+     * Per-function substrate hashes of this run, by function raw id
+     * (the values the records' function dependencies compare). Valid
+     * until the next beginRun.
+     */
+    virtual const std::uint64_t *substrateHashes(std::size_t *count) const = 0;
+
+    /**
+     * This run's closure digest per function raw id: a Merkle hash of
+     * everything the FS relevance filter can read about the function's
+     * call closure (0 = unusable). The FS stage hands it over before
+     * its first lookupFlow; a run that sets none validates no record
+     * with closure dependencies.
+     */
+    virtual void setClosureDigests(std::vector<std::uint64_t> digests) = 0;
+
+    /**
+     * Store a freshly computed FS outcome. `touched` holds the raw
+     * function ids the candidate read; `skipped` the raw ids of the
+     * callees the relevance filter skipped, each of which the record
+     * depends on through its closure digest alone.
+     */
     virtual void storeFlow(ValueId v, const FlowCached &rec,
-                           const std::vector<std::uint32_t> &touched) = 0;
+                           const std::vector<std::uint32_t> &touched,
+                           const std::vector<std::uint32_t> &skipped) = 0;
 };
 
 } // namespace manta

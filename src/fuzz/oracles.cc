@@ -1,12 +1,15 @@
 #include "fuzz/oracles.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "analysis/acyclic.h"
 #include "analysis/memobj.h"
 #include "analysis/pointsto.h"
 #include "clients/icall.h"
 #include "core/pipeline.h"
+#include "core/refine_flow.h"
 #include "eval/metrics.h"
 #include "mir/interp.h"
 #include "lint/run.h"
@@ -423,15 +426,66 @@ checkLintStable(const Module &m, Battery &b)
 }
 
 /**
+ * A hint-free, call-free function of kFlatIndexMinInsts adds: appended
+ * to a module's text, it lifts the module past the FS flat-index gate
+ * (core/refine_flow.h) without touching any other function.
+ */
+std::string
+flatGatePad()
+{
+    std::string text = "func @fuzz_gate_pad(%x:64) {\nentry:\n";
+    for (std::size_t i = 0; i < FlowRefinement::kFlatIndexMinInsts; ++i)
+        text += "  %p" + std::to_string(i) + " = add %x, " +
+                std::to_string(i + 1) + ":64\n";
+    return text + "  ret %x\n}\n";
+}
+
+/**
+ * `text` with its first constant operand (in function order) bumped
+ * by one, reprinted; empty when the module has no constant operand.
+ */
+std::string
+bumpFirstConstant(const std::string &text)
+{
+    Module m;
+    std::string error;
+    if (!parseModule(text, m, error))
+        return std::string();
+    for (std::size_t f = 0; f < m.numFuncs(); ++f) {
+        for (const BlockId b :
+             m.func(FuncId(static_cast<FuncId::RawType>(f))).blocks) {
+            for (const InstId i : m.block(b).insts) {
+                for (const ValueId op : m.operands(m.inst(i))) {
+                    Value &v = m.value(op);
+                    if (v.kind == ValueKind::Constant) {
+                        v.constValue +=
+                            v.constValue <
+                                    std::numeric_limits<std::int64_t>::max()
+                                ? 1
+                                : -1;
+                        return printModule(m);
+                    }
+                }
+            }
+        }
+    }
+    return std::string();
+}
+
+/**
  * Oracle 9: serve-layer snapshots round-trip (docs/SERVING.md). A
  * session that analyzed the module must serialize to an MSNP snapshot
  * that restores into a fresh session whose rendered types/lint/icall
  * artifacts are byte-identical to the saving session's, and a
  * corrupted snapshot must be rejected outright, leaving the loader
- * empty and able to analyze cold. Running this per generated program
- * continuously fuzzes the snapshot decoder, the memo serialization,
- * and the RESULTS digest proof against every module shape the
- * generator can produce.
+ * empty and able to analyze cold. The saving session then re-analyzes
+ * the module with one constant bumped, padded past the FS flat-index
+ * gate: its warm renders (types, lint, icall, taint) must equal a
+ * fresh cold session's. Running this per
+ * generated program continuously fuzzes the snapshot decoder, the
+ * memo serialization, the RESULTS digest proof and the memo's
+ * record validation against every module shape the generator can
+ * produce.
  */
 void
 checkSnapshotRoundTrip(const Module &m, Battery &b)
@@ -478,6 +532,41 @@ checkSnapshotRoundTrip(const Module &m, Battery &b)
     } else if (corrupt.hasResult()) {
         b.fail(OracleId::SnapshotRoundTrip,
                "rejected snapshot left session state behind");
+    }
+
+    // Warm-edit half: bump the first constant operand and re-analyze on
+    // the saving session; its memo answers whatever the edit left
+    // valid, and every render must match a cold analysis of the edit.
+    // Both sides carry the gate pad, so the memo runs take the FS
+    // relevance filter and closure digests; the padded pre-edit run
+    // replays the unpadded run's records across the gate first.
+    const std::string edited = bumpFirstConstant(text);
+    if (!edited.empty()) {
+        const std::string pad = flatGatePad();
+        if (!saver.analyze(text + pad).ok ||
+                !saver.analyze(edited + pad).ok) {
+            b.fail(OracleId::SnapshotRoundTrip,
+                   "warm re-analysis of a one-constant edit failed");
+            return;
+        }
+        serve::BinarySession cold("fuzz");
+        if (!cold.analyze(edited + pad).ok) {
+            b.fail(OracleId::SnapshotRoundTrip,
+                   "cold analysis of a one-constant edit failed");
+            return;
+        }
+        if (saver.renderTypes() != cold.renderTypes())
+            b.fail(OracleId::SnapshotRoundTrip,
+                   "warm types render diverged from cold after an edit");
+        if (saver.renderLint() != cold.renderLint())
+            b.fail(OracleId::SnapshotRoundTrip,
+                   "warm lint render diverged from cold after an edit");
+        if (saver.renderIcall() != cold.renderIcall())
+            b.fail(OracleId::SnapshotRoundTrip,
+                   "warm icall render diverged from cold after an edit");
+        if (saver.renderTaint() != cold.renderTaint())
+            b.fail(OracleId::SnapshotRoundTrip,
+                   "warm taint render diverged from cold after an edit");
     }
 
     // Codec half: the raw pool dump must decode to a module that

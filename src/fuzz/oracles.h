@@ -44,7 +44,9 @@
  *                   restores into a fresh session whose rendered
  *                   types/lint/icall artifacts are byte-identical to
  *                   the saving session's, a corrupted snapshot is
- *                   rejected with a clean cold fallback, and the MIR
+ *                   rejected with a clean cold fallback, the saving
+ *                   session's warm re-analysis of a one-constant edit
+ *                   renders what a cold session does, and the MIR
  *                   pool codec reprints the module identically.
  * 10. engine_diff - the polymorphic subtyping core (MANTA_INFER=subtype)
  *                   agrees with the unification core at FI: on every

@@ -33,19 +33,43 @@ IncrementalMemo::beginRun(Module &module, const Ddg &ddg,
     pending_keys_.reset();
     pending_module_ = nullptr;
     substrate_ = keys_->substrateHashes(ddg, hints, pts, env);
-    substrate_by_key_.clear();
-    substrate_by_key_.reserve(substrate_.size());
-    for (std::size_t f = 0; f < substrate_.size(); ++f) {
+    indexByKey(substrate_, substrate_by_key_);
+    // No closure digests until the FS stage hands this run's over.
+    closure_.clear();
+    closure_by_key_.clear();
+    return true;
+}
+
+void
+IncrementalMemo::indexByKey(
+    const std::vector<std::uint64_t> &by_func,
+    std::unordered_map<std::uint64_t, std::uint64_t> &by_key) const
+{
+    by_key.clear();
+    by_key.reserve(by_func.size());
+    for (std::size_t f = 0; f < by_func.size(); ++f) {
         const FuncId fid(static_cast<FuncId::RawType>(f));
         // Duplicate function names make the key ambiguous; drop both
         // from the validatable set (lookups against them always miss).
-        const std::uint64_t key = keys_->funcKey(fid);
         const auto [it, inserted] =
-            substrate_by_key_.emplace(key, substrate_[f]);
+            by_key.emplace(keys_->funcKey(fid), by_func[f]);
         if (!inserted)
             it->second = 0; // poisoned: never matches a real hash
     }
-    return true;
+}
+
+const std::uint64_t *
+IncrementalMemo::substrateHashes(std::size_t *count) const
+{
+    *count = substrate_.size();
+    return substrate_.data();
+}
+
+void
+IncrementalMemo::setClosureDigests(std::vector<std::uint64_t> digests)
+{
+    closure_ = std::move(digests);
+    indexByKey(closure_, closure_by_key_);
 }
 
 const std::uint32_t *
@@ -73,25 +97,28 @@ IncrementalMemo::keyOf(ValueId v, CandKey &out) const
 }
 
 bool
-IncrementalMemo::depsValid(const std::vector<Dep> &deps) const
+IncrementalMemo::depsValid(
+    const std::vector<Dep> &deps,
+    const std::unordered_map<std::uint64_t, std::uint64_t> &by_key)
 {
     for (const Dep &d : deps) {
-        const auto it = substrate_by_key_.find(d.funcKey);
-        if (it == substrate_by_key_.end() ||
-            it->second != d.substrateHash || d.substrateHash == 0)
+        const auto it = by_key.find(d.funcKey);
+        if (it == by_key.end() || it->second != d.hash || d.hash == 0)
             return false;
     }
     return true;
 }
 
 std::vector<IncrementalMemo::Dep>
-IncrementalMemo::depsOf(const std::vector<std::uint32_t> &touched) const
+IncrementalMemo::depsOf(const std::vector<std::uint32_t> &funcs,
+                        const std::vector<std::uint64_t> &hashes) const
 {
     std::vector<Dep> deps;
-    deps.reserve(touched.size());
-    for (const std::uint32_t f : touched) {
+    deps.reserve(funcs.size());
+    for (const std::uint32_t f : funcs) {
         const FuncId fid(static_cast<FuncId::RawType>(f));
-        deps.push_back(Dep{keys_->funcKey(fid), substrate_[f]});
+        deps.push_back(
+            Dep{keys_->funcKey(fid), f < hashes.size() ? hashes[f] : 0});
     }
     return deps;
 }
@@ -135,7 +162,7 @@ IncrementalMemo::lookupCtx(ValueId v, CtxCached &out)
     if (!keyOf(v, key))
         return false;
     const auto it = ctx_.find(key);
-    if (it == ctx_.end() || !depsValid(it->second.deps))
+    if (it == ctx_.end() || !depsValid(it->second.deps, substrate_by_key_))
         return false;
     out.hasBound = it->second.hasBound;
     if (out.hasBound)
@@ -157,7 +184,7 @@ IncrementalMemo::storeCtx(ValueId v, const CtxCached &rec,
         stored.upper = toHolder(rec.bound.upper);
         stored.lower = toHolder(rec.bound.lower);
     }
-    stored.deps = depsOf(touched);
+    stored.deps = depsOf(touched, substrate_);
     ctx_[key] = std::move(stored);
 }
 
@@ -171,7 +198,8 @@ IncrementalMemo::lookupFlow(ValueId v, std::size_t num_sites,
     const auto it = flow_.find(key);
     if (it == flow_.end() ||
         it->second.siteBounds.size() != num_sites ||
-        !depsValid(it->second.deps))
+        !depsValid(it->second.deps, substrate_by_key_) ||
+        !depsValid(it->second.closureDeps, closure_by_key_))
         return false;
     out.siteBounds.clear();
     out.siteBounds.reserve(num_sites);
@@ -186,7 +214,8 @@ IncrementalMemo::lookupFlow(ValueId v, std::size_t num_sites,
 
 void
 IncrementalMemo::storeFlow(ValueId v, const FlowCached &rec,
-                           const std::vector<std::uint32_t> &touched)
+                           const std::vector<std::uint32_t> &touched,
+                           const std::vector<std::uint32_t> &skipped)
 {
     CandKey key;
     if (!keyOf(v, key))
@@ -201,7 +230,8 @@ IncrementalMemo::storeFlow(ValueId v, const FlowCached &rec,
         stored.upper = toHolder(rec.refined.upper);
         stored.lower = toHolder(rec.refined.lower);
     }
-    stored.deps = depsOf(touched);
+    stored.deps = depsOf(touched, substrate_);
+    stored.closureDeps = depsOf(skipped, closure_);
     flow_[key] = std::move(stored);
 }
 
@@ -257,7 +287,7 @@ IncrementalMemo::serialize(ByteWriter &out) const
         body.u32(static_cast<std::uint32_t>(deps.size()));
         for (const Dep &d : deps) {
             body.u64(d.funcKey);
-            body.u64(d.substrateHash);
+            body.u64(d.hash);
         }
     };
     body.u32(static_cast<std::uint32_t>(ctx_sorted.size()));
@@ -286,6 +316,7 @@ IncrementalMemo::serialize(ByteWriter &out) const
             body.u32(poolRef(rec->lower));
         }
         writeDepList(rec->deps);
+        writeDepList(rec->closureDeps);
     }
 
     pool.write(out);
@@ -324,7 +355,7 @@ IncrementalMemo::deserialize(ByteReader &in)
         for (std::uint32_t i = 0; i < count && in.ok(); ++i) {
             Dep d;
             d.funcKey = in.u64();
-            d.substrateHash = in.u64();
+            d.hash = in.u64();
             deps.push_back(d);
         }
     };
@@ -371,6 +402,7 @@ IncrementalMemo::deserialize(ByteReader &in)
             rec.lower = holderRef(in.u32(), ok);
         }
         readDepList(rec.deps);
+        readDepList(rec.closureDeps);
         if (in.ok() && ok)
             flow_.emplace(key, std::move(rec));
     }

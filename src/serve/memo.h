@@ -11,7 +11,10 @@
  * therefore verification of reads, not prediction of changes: the
  * flow-insensitive stage always re-runs cold, its per-function output
  * is hashed, and any divergence - however it was caused - invalidates
- * exactly the records that depended on it.
+ * exactly the records that depended on it. An FS record also keeps
+ * one closure dependency per callee the relevance filter skipped:
+ * the callee's key and its closure digest (core/refine_flow.h), valid
+ * iff the current run's digest for that key is the same.
  *
  * Bounds are kept alive across runs in a private holder TypeTable and
  * re-interned into each run's table on lookup; both tables hash-cons,
@@ -75,8 +78,11 @@ class IncrementalMemo : public RefineMemo
                   const std::vector<std::uint32_t> &touched) override;
     bool lookupFlow(ValueId v, std::size_t num_sites,
                     FlowCached &out) override;
+    const std::uint64_t *substrateHashes(std::size_t *count) const override;
+    void setClosureDigests(std::vector<std::uint64_t> digests) override;
     void storeFlow(ValueId v, const FlowCached &rec,
-                   const std::vector<std::uint32_t> &touched) override;
+                   const std::vector<std::uint32_t> &touched,
+                   const std::vector<std::uint32_t> &skipped) override;
 
     /** Record counts (status reporting, tests). */
     std::size_t numCtxRecords() const { return ctx_.size(); }
@@ -110,10 +116,12 @@ class IncrementalMemo : public RefineMemo
     void adoptKeys(std::unique_ptr<ModuleKeys> keys, const Module *module);
 
   private:
+    /** (function key, the hash it had): a substrate hash, or a
+     *  closure digest in FlowRecord::closureDeps. */
     struct Dep
     {
         std::uint64_t funcKey;
-        std::uint64_t substrateHash;
+        std::uint64_t hash;
     };
 
     struct CtxRecord
@@ -131,11 +139,20 @@ class IncrementalMemo : public RefineMemo
         std::uint32_t upper = 0xffffffffu;
         std::uint32_t lower = 0xffffffffu;
         std::vector<Dep> deps;
+        std::vector<Dep> closureDeps;  ///< Skipped callees' digests.
     };
 
     bool keyOf(ValueId v, CandKey &out) const;
-    bool depsValid(const std::vector<Dep> &deps) const;
-    std::vector<Dep> depsOf(const std::vector<std::uint32_t> &touched) const;
+    /** Map per-function hashes to function keys (duplicates -> 0). */
+    void indexByKey(
+        const std::vector<std::uint64_t> &by_func,
+        std::unordered_map<std::uint64_t, std::uint64_t> &by_key) const;
+    static bool depsValid(
+        const std::vector<Dep> &deps,
+        const std::unordered_map<std::uint64_t, std::uint64_t> &by_key);
+    /** Dependencies on `funcs` (raw ids) at their `hashes` entries. */
+    std::vector<Dep> depsOf(const std::vector<std::uint32_t> &funcs,
+                            const std::vector<std::uint64_t> &hashes) const;
     std::uint32_t toHolder(TypeRef run_ref);
     TypeRef toRun(std::uint32_t holder_raw) const;
 
@@ -152,6 +169,8 @@ class IncrementalMemo : public RefineMemo
     const Module *pending_module_ = nullptr;
     std::vector<std::uint64_t> substrate_;  ///< By func raw id.
     std::unordered_map<std::uint64_t, std::uint64_t> substrate_by_key_;
+    std::vector<std::uint64_t> closure_;    ///< By func raw id.
+    std::unordered_map<std::uint64_t, std::uint64_t> closure_by_key_;
 
     // Both tables hash-cons, so a (table, raw) pair maps to one
     // transfer result; caching it turns the per-record recursive

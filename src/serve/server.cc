@@ -14,6 +14,9 @@
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
+#ifndef MSG_NOSIGNAL
+#define MSG_NOSIGNAL 0  // Platforms without it set SO_NOSIGPIPE instead.
+#endif
 #else
 #define MANTA_HAVE_UNIX_SOCKETS 0
 #endif
@@ -101,8 +104,12 @@ serveConnection(Service &service, int fd)
         response.push_back('\n');
         std::size_t written = 0;
         while (written < response.size()) {
-            const ssize_t n = ::write(fd, response.data() + written,
-                                      response.size() - written);
+            // A peer that closed before its response must cost only its
+            // own connection: MSG_NOSIGNAL turns the SIGPIPE that would
+            // kill the daemon into an EPIPE error.
+            const ssize_t n = ::send(fd, response.data() + written,
+                                     response.size() - written,
+                                     MSG_NOSIGNAL);
             if (n <= 0)
                 break;
             written += static_cast<std::size_t>(n);
@@ -151,6 +158,10 @@ runUnixServer(Service &service, const std::string &path)
         const int fd = ::accept(listener, nullptr, nullptr);
         if (fd < 0)
             continue;
+#ifdef SO_NOSIGPIPE
+        const int on = 1;
+        ::setsockopt(fd, SOL_SOCKET, SO_NOSIGPIPE, &on, sizeof on);
+#endif
         pending.push_back(sharedPool().submit(
             [&service, fd]() { serveConnection(service, fd); }));
     }

@@ -52,11 +52,13 @@ namespace manta {
 namespace serve {
 
 /**
- * Format version. 3: flow-sensitive records are exact (no step
- * budget); version 2 records came from a truncating walk and must not
- * be replayed as warm answers.
+ * Format version. 4: flow-sensitive records carry a closure-digest
+ * dependency per callee the relevance filter skipped; version 3
+ * records have no such list. Version 3 made flow-sensitive records
+ * exact (no step budget): version 2 records came from a truncating
+ * walk and must not be replayed as warm answers.
  */
-constexpr std::uint32_t kSnapshotVersion = 3;
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 /** Section ids (stable; new sections append ids, retired ids stay unused). */
 enum class SnapshotSection : std::uint32_t {

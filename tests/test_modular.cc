@@ -7,8 +7,8 @@
  * one-worklist reference (reference/refine_ref.h), for the full
  * pipeline and for the fig9 ablation groups. The FlowSummary suite
  * pins the exact flow-sensitive evaluation: no truncation, transitive
- * callee summaries, the relevance filter's pruning, and strong updates
- * on call instructions.
+ * callee summaries, the relevance filter's pruning, strong updates on
+ * call instructions, and memo runs evaluating as batch runs do.
  */
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "frontend/corpus.h"
 #include "mir/parser.h"
 #include "reference/refine_ref.h"
+#include "serve/memo.h"
 
 namespace manta {
 namespace {
@@ -403,6 +404,48 @@ TEST(FlowSummary, FfmpegIsExactWithoutTruncation)
     EXPECT_EQ(diffOverlays(result,
                            referenceInfer(analyzer, HybridConfig::full())),
               "");
+}
+
+/** True when two overlays hold the same keys with the same bounds. */
+template <typename Overlay>
+bool
+sameOverlay(const Overlay &a, const Overlay &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (const auto &[key, bp] : a) {
+        const auto it = b.find(key);
+        if (it == b.end() || it->second.upper != bp.upper ||
+                it->second.lower != bp.lower)
+            return false;
+    }
+    return true;
+}
+
+TEST(FlowSummary, MemoRunMatchesBatchRun)
+{
+    // Memo (serve) runs take the batch runs' filtered evaluation: on
+    // ffmpeg, past the flat-index gate, a cold memo run answers every
+    // site as a batch infer() does, with the same FS work. Recording
+    // the filter's reads (replayed hint touches, closure digests) is
+    // bookkeeping and counts no steps or queries.
+    const ProjectProfile profile = standardCorpus().back();
+    ASSERT_EQ(profile.name, "ffmpeg");
+    GeneratedProgram prog = buildProject(profile);
+    makeAcyclic(*prog.module);
+    ASSERT_TRUE(FlowRefinement::flatIndexEligible(*prog.module));
+    MantaAnalyzer analyzer(*prog.module);
+    const InferenceResult batch = analyzer.infer(HybridConfig::full());
+    serve::IncrementalMemo memo;
+    const InferenceResult cold = analyzer.infer(HybridConfig::full(), &memo);
+    EXPECT_GT(memo.numFlowRecords(), 0u);
+    EXPECT_EQ(cold.profile().fsReused, 0u);
+    EXPECT_TRUE(sameOverlay(cold.siteOverlay(), batch.siteOverlay()));
+    EXPECT_TRUE(sameOverlay(cold.overlay(), batch.overlay()));
+    EXPECT_GT(batch.profile().fsWalk.steps, 0u);
+    EXPECT_EQ(cold.profile().fsWalk.steps, batch.profile().fsWalk.steps);
+    EXPECT_EQ(cold.profile().fsWalk.queries,
+              batch.profile().fsWalk.queries);
 }
 
 TEST(FlowSummary, TransitiveCalleeHintIsCollected)

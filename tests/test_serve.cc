@@ -12,14 +12,31 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+#ifndef MSG_NOSIGNAL
+#define MSG_NOSIGNAL 0
+#endif
+#endif
+
+#include "core/refine_flow.h"
+#include "frontend/corpus.h"
+#include "mir/parser.h"
+#include "mir/printer.h"
 #include "mir/verifier.h"
 
 #include "serve/cli_modes.h"
 #include "serve/json.h"
 #include "serve/keys.h"
+#include "serve/server.h"
 #include "serve/service.h"
 #include "serve/session.h"
 #include "serve/snapshot.h"
@@ -333,9 +350,11 @@ TEST(ServeSnapshot, VersionMismatchIsRejected)
 
     // The u32 format version sits right after the 4-byte magic. Version
     // 1 files (which also carried an element-wise MIR section), version
-    // 2 files (flow-sensitive records from a budget-truncated walk) and
-    // future versions are all refused.
-    for (const std::uint32_t version : {1u, 2u, kSnapshotVersion + 1}) {
+    // 2 files (flow-sensitive records from a budget-truncated walk),
+    // version 3 files (flow-sensitive records without closure-digest
+    // dependencies) and future versions are all refused.
+    for (const std::uint32_t version :
+         {1u, 2u, 3u, kSnapshotVersion + 1}) {
         std::string bad = bytes;
         bad[4] = static_cast<char>(version);
         BinarySession loader("snap");
@@ -495,66 +514,191 @@ TEST(ServeSnapshot, SentinelBlockIdIsRejected)
     EXPECT_TRUE(loader.analyze(kChainText).ok);
 }
 
-TEST(ServeIdentity, EditMakingATransitiveCalleeRelevantMatchesCold)
+/** A function of `n` hint-free adds: lifts a module past the FS
+ *  flat-index gate (kFlatIndexMinInsts) without adding a hint or a
+ *  call, so the relevance filter and the closure digests are on. */
+std::string
+filler(std::size_t n)
 {
-    // @a's buffer reaches @h through @g. At first @h reads nothing
-    // through it; the edit adds a load there, so a callee two calls
-    // away from @a's sites now holds a hint on the buffer's roots.
-    // Every record that read @h must be dropped: warm == cold.
-    const char *before = R"(
-func @h(%p:64) {
-entry:
-  %v = add %p, 1:64
-  ret %v
+    std::string text = "func @filler(%x:64) {\nentry:\n";
+    for (std::size_t i = 0; i < n; ++i)
+        text += "  %f" + std::to_string(i) + " = add %x, " +
+                std::to_string(i + 1) + ":64\n";
+    return text + "  ret %x\n}\n";
 }
-func @g(%p:64) {
-entry:
-  %r = call.64 @h(%p)
-  ret %r
+
+/** One function's types render: signature line through its brace. */
+std::string
+funcSection(const std::string &render, const std::string &name)
+{
+    const std::size_t body = render.find("func @" + name + "(");
+    if (body == std::string::npos || body < 2)
+        return "";
+    const std::size_t sig = render.rfind('\n', body - 2);
+    const std::size_t begin = sig == std::string::npos ? 0 : sig + 1;
+    return render.substr(begin, render.find("\n}\n", body) - begin);
 }
-func @a() {
-entry:
-  %buf = alloca 16
-  %r = call.64 @g(%buf)
-  %x = add %buf, 8:64
-  ret %r
-}
-)";
-    const char *after = R"(
-func @h(%p:64) {
-entry:
-  %v = load.32 %p
-  ret %v
-}
-func @g(%p:64) {
-entry:
-  %r = call.64 @h(%p)
-  ret %r
-}
-func @a() {
-entry:
-  %buf = alloca 16
-  %r = call.64 @g(%buf)
-  %x = add %buf, 8:64
-  ret %r
-}
-)";
+
+/**
+ * Analyze `before`, then `after`, on one session (padded past the
+ * flat-index gate). Every render must equal a cold session's for
+ * `after`, and the edit must change @a's cold types although it
+ * leaves @a's text alone: replaying @a's stale records shows.
+ */
+void
+expectWarmEditMatchesCold(const std::string &before, const std::string &after,
+                          const std::vector<std::string> &dirty)
+{
+    const std::string padded_before = before + filler(600);
+    const std::string padded_after = after + filler(600);
+    ASSERT_TRUE(FlowRefinement::flatIndexEligible(
+        parseModuleOrDie(padded_before)));
     BinarySession warm("warm");
-    ASSERT_TRUE(warm.analyze(before).ok);
-    const AnalyzeOutcome out = warm.analyze(after);
+    ASSERT_TRUE(warm.analyze(padded_before).ok);
+    const AnalyzeOutcome out = warm.analyze(padded_after);
     ASSERT_TRUE(out.ok);
-    EXPECT_EQ(out.dirty, std::vector<std::string>{"h"});
+    EXPECT_EQ(out.dirty, dirty);
 
     BinarySession cold("cold");
-    ASSERT_TRUE(cold.analyze(after).ok);
+    ASSERT_TRUE(cold.analyze(padded_after).ok);
     BinarySession cold_before("cold_before");
-    ASSERT_TRUE(cold_before.analyze(before).ok);
-    EXPECT_NE(cold.renderTypes(), cold_before.renderTypes());
+    ASSERT_TRUE(cold_before.analyze(padded_before).ok);
+    const std::string a_after = funcSection(cold.renderTypes(), "a");
+    ASSERT_FALSE(a_after.empty());
+    EXPECT_NE(a_after, funcSection(cold_before.renderTypes(), "a"));
 
     EXPECT_EQ(warm.renderTypes(), cold.renderTypes());
     EXPECT_EQ(warm.renderLint(), cold.renderLint());
     EXPECT_EQ(warm.renderIcall(), cold.renderIcall());
     EXPECT_EQ(warm.renderTaint(), cold.renderTaint());
+}
+
+// @a's parameter is an FS candidate (a load and a mul disagree on it)
+// whose def site is the call into @g: its type is what @g's closure
+// reveals about it.
+const char *kRelevanceCaller = R"(
+func @a(%q:64) {
+entry:
+  %r = call.64 @g(%q)
+  %l = load.64 %q
+  %m = mul %q, 3:64
+  ret %m
+}
+)";
+
+TEST(ServeIdentity, EditMakingATransitiveCalleeRelevantMatchesCold)
+{
+    // %q reaches @h through @g. At first @h reads nothing through it;
+    // the edit adds a load there, so a callee two calls away from @a's
+    // sites now holds a hint on %q's roots. Every record that read or
+    // skipped @h must be dropped: warm == cold.
+    const std::string chain = R"(
+func @g(%p:64) {
+entry:
+  %r = call.64 @h(%p)
+  ret %r
+}
+)";
+    expectWarmEditMatchesCold(std::string(R"(
+func @h(%p:64) {
+entry:
+  %v = add %p, 1:64
+  ret %v
+}
+)") + chain + kRelevanceCaller,
+                              std::string(R"(
+func @h(%p:64) {
+entry:
+  %v = load.32 %p
+  ret %v
+}
+)") + chain + kRelevanceCaller,
+                              {"h"});
+}
+
+TEST(ServeIdentity, SkippedCalleeGainingACallToAMatchingHintMatchesCold)
+{
+    // @k's load would type %q, but nothing calls @k, so @a's candidate
+    // skips @g's closure. The edit makes @h (inside that closure) call
+    // @k. @g's own substrate does not change: only @g's closure digest,
+    // through the digest of its callee @h, tells the record it is
+    // stale.
+    const std::string head = R"(
+func @k(%p:64) {
+entry:
+  %v = load.64 %p
+  ret %v
+}
+func @g(%p:64) {
+entry:
+  %r = call.64 @h(%p)
+  ret %r
+}
+)";
+    expectWarmEditMatchesCold(head + R"(
+func @h(%p:64) {
+entry:
+  %v = add %p, 1:64
+  ret %v
+}
+)" + kRelevanceCaller,
+                              head + R"(
+func @h(%p:64) {
+entry:
+  %v = add %p, 1:64
+  %c = call.64 @k(%p)
+  ret %v
+}
+)" + kRelevanceCaller,
+                              {"h"});
+}
+
+TEST(ServeIdentity, ThirdFunctionMakingASkippedHintMeetTheRootsMatchesCold)
+{
+    // @g's hints are on its parameter, whose roots run back through
+    // its caller @t - a function in neither @g's closure nor %q's root
+    // query. The edit changes which value @t passes: afterwards it is
+    // the one @a stored to @G, so @g's hints meet %q's roots. Only @t
+    // changes, and no substrate hash of @a or @g does: the root-query
+    // touches folded into @g's closure digest catch it.
+    const std::string g = R"(
+global @G 8
+func @g(%p:64) {
+entry:
+  %m = mul %p, 3:64
+  %v = load.64 %p
+  ret %v
+}
+)";
+    const std::string rest = R"(
+func @a(%q:64) {
+entry:
+  %r = call.64 @g(5:64)
+  store @G, %q
+  %l = load.64 %q
+  %m = mul %q, 3:64
+  ret %m
+}
+func @main() {
+entry:
+  %o = alloca 16
+  %r = call.64 @a(%o)
+  ret %r
+}
+)";
+    const std::string t = R"(
+func @t() {
+entry:
+  %x = load.64 @G
+  %z = alloca 16
+  %y = add %z, 0:64
+  %r = call.64 @g(%y)
+  ret %r
+}
+)";
+    std::string t_after = t;
+    t_after.replace(t_after.find("add %z"), 6, "add %x");
+    expectWarmEditMatchesCold(g + t + rest, g + t_after + rest, {"t"});
 }
 
 TEST(ServeKeys, TextHashIsStableAndSensitive)
@@ -595,6 +739,106 @@ TEST(ServeCli, ModeListMatchesDispatchedModes)
     for (std::size_t i = 0; i < dispatched.size(); ++i)
         EXPECT_EQ(cliModes()[i].name, dispatched[i]);
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+
+/** Connect to the daemon's socket, retrying while it binds. */
+int
+connectTo(const std::string &path)
+{
+    sockaddr_un addr = {};
+    addr.sun_family = AF_UNIX;
+    std::snprintf(addr.sun_path, sizeof addr.sun_path, "%s", path.c_str());
+    for (int attempt = 0; attempt < 500; ++attempt) {
+        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+        if (fd < 0)
+            return -1;
+        if (::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof addr) == 0)
+            return fd;
+        ::close(fd);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return -1;
+}
+
+bool
+sendLine(int fd, const std::string &line)
+{
+    const std::string data = line + "\n";
+    std::size_t sent = 0;
+    while (sent < data.size()) {
+        const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent,
+                                 MSG_NOSIGNAL);
+        if (n <= 0)
+            return false;
+        sent += static_cast<std::size_t>(n);
+    }
+    return true;
+}
+
+std::string
+readLine(int fd)
+{
+    std::string line;
+    char c;
+    while (::read(fd, &c, 1) == 1 && c != '\n')
+        line.push_back(c);
+    return line;
+}
+
+TEST(ServeSocket, PeerClosingBeforeItsResponseLeavesTheDaemonServing)
+{
+    // The first client asks for an analysis and hangs up without
+    // reading. Writing its response must fail on that connection
+    // alone - a SIGPIPE would kill the whole daemon - so a second
+    // client still gets its status answer.
+    const std::string path = ::testing::TempDir() + "manta_serve_" +
+                             std::to_string(::getpid()) + ".sock";
+    Service service;
+    std::thread daemon([&] { runUnixServer(service, path); });
+    // Stops and joins the daemon on every exit path, failed asserts too.
+    class Stop
+    {
+      public:
+        Stop(Service &service, std::thread &daemon)
+            : service_(service), daemon_(daemon)
+        {}
+        Stop(const Stop &) = delete;
+        Stop &operator=(const Stop &) = delete;
+        ~Stop()
+        {
+            if (!service_.shuttingDown())
+                service_.handleLine(R"({"id":0,"method":"shutdown"})");
+            daemon_.join();
+        }
+
+      private:
+        Service &service_;
+        std::thread &daemon_;
+    } stop(service, daemon);
+
+    // A module whose analysis outlasts the hang-up by far.
+    const GeneratedProgram prog = buildProject(standardCorpus().back());
+    const int first = connectTo(path);
+    ASSERT_GE(first, 0);
+    ASSERT_TRUE(sendLine(first, analyzeLine("big", printModule(*prog.module))));
+    ::close(first);
+
+    const int second = connectTo(path);
+    ASSERT_GE(second, 0);
+    ASSERT_TRUE(sendLine(second, R"({"id":2,"method":"status"})"));
+    const Json status = parseOrDie(readLine(second));
+    const Json *ok = status.get("ok");
+    EXPECT_TRUE(ok != nullptr && ok->isBool() && ok->asBool())
+        << status.dump();
+    ASSERT_TRUE(sendLine(second, R"({"id":3,"method":"shutdown"})"));
+    EXPECT_FALSE(readLine(second).empty());
+    ::close(second);
+}
+
+#endif
+
 
 /**
  * Replay every `>>>` request from docs/SERVING.md and compare the
